@@ -11,6 +11,7 @@ the length-8 redundancy-4 code with six free entries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import _caps
 from .burst import Word
@@ -109,8 +110,12 @@ class ExplicitCode:
     def size(self) -> int:
         return len(self.codewords)
 
+    @cached_property
+    def _members(self) -> frozenset[Word]:
+        return frozenset(self.codewords)
+
     def contains(self, w) -> bool:
-        return tuple(w) in set(self.codewords)
+        return tuple(w) in self._members
 
     def redundancy_exact(self) -> tuple[int, int]:
         """(size, q^n): the exact pair behind r = n - log_q(size)."""

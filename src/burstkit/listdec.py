@@ -7,7 +7,10 @@ empty set). For linear codes each candidate window costs one affine
 solve against the syndrome. Certification never scans received words:
 the linear path buckets every tau-burst by syndrome and reads the
 largest bucket, the explicit path buckets codeword+burst sums; the two
-paths compute the same maximum and are cross-checked in the tests.
+paths compute the same maximum and are cross-checked in the tests. The
+syndrome scan runs as one numpy kernel when numpy is importable; the
+pure-Python scan is its fallback and the reference the tests compare
+it against.
 """
 
 from __future__ import annotations
@@ -244,13 +247,10 @@ def _syndrome_ops(code: LinearCode):
     return zero, scaled, combine, finalize
 
 
-def _bucket_syndromes(code: LinearCode, space: BurstSpace, cap: int | None = None) -> dict[int, int]:
+def _bucket_syndromes(code: LinearCode, space: BurstSpace) -> dict[int, int]:
     """Count tau-bursts per syndrome key, the zero burst included."""
-    ctx = code.ctx
-    limit = _caps.enum_cap(cap)
-    _caps.check("burst bucketing q^tau * n", ctx.q ** space.tau * space.n, limit)
     zero, scaled, combine, finalize = _syndrome_ops(code)
-    q = ctx.q
+    q = code.ctx.q
     buckets: dict[int, int] = {finalize(zero): 1}
     get = buckets.get
     for start, width in anchored_spans(space):
@@ -268,11 +268,6 @@ def _bucket_syndromes(code: LinearCode, space: BurstSpace, cap: int | None = Non
                 rec(idx + 1, combine(acc, tab[d]))
 
         rec(0, zero)
-    total = count_bursts_phased(q, space.n, space.tau) if space.phased else count_bursts(
-        q, space.n, space.tau
-    )
-    if sum(buckets.values()) != total:
-        raise AssertionError("bucketed burst count disagrees with the closed form")
     return buckets
 
 
@@ -315,6 +310,128 @@ def _collect_bucket(
     return out
 
 
+def _scan_pure(code: LinearCode, space: BurstSpace, ell):
+    """The pure-Python scan: (bursts, buckets, max bucket, witness bursts).
+
+    The witness bursts are the first ell+1 bursts, in enumeration order,
+    of the largest bucket with the smallest key; None unless that bucket
+    holds more than ell bursts.
+    """
+    buckets = _bucket_syndromes(code, space)
+    max_count = max(buckets.values())
+    bursts = None
+    if ell is not None and max_count > ell:
+        target = min(k for k, v in buckets.items() if v == max_count)
+        bursts = _collect_bucket(code, space, target, ell + 1)
+    return sum(buckets.values()), len(buckets), max_count, bursts
+
+
+# Payload-grid rows per numpy block: a block holds CHUNK_ROWS * r * m
+# syndrome digits, which bounds the working memory of one step.
+CHUNK_ROWS = 1 << 16
+
+
+def _scan_numpy(code: LinearCode, space: BurstSpace, ell):
+    """The same result as _scan_pure from one vectorized pass; None when
+    numpy is missing or a key would not fit in int64."""
+    if code.ctx.q**code.r >= 1 << 63:
+        return None
+    try:
+        import numpy as np
+    except ImportError:
+        return None
+    spans = list(anchored_spans(space))
+    keys = _syndrome_keys(np, code, spans)
+    uniq, counts = np.unique(keys, return_counts=True)
+    max_count = int(counts.max())
+    bursts = None
+    if ell is not None and max_count > ell:
+        target = uniq[np.argmax(counts)]  # uniq is sorted: the smallest key
+        hits = np.flatnonzero(keys == target)[: ell + 1].tolist()
+        bursts = [_grid_burst(code.ctx.q, space.n, spans, g) for g in hits]
+    return keys.size, uniq.size, max_count, bursts
+
+
+def _syndrome_keys(np, code: LinearCode, spans):
+    """The syndrome key of every burst, in enumeration order.
+
+    A syndrome is stored as r*m base-p digits (lane m*i + k is digit k
+    of row i), so field addition is lane-wise addition mod p in every
+    field. The payload grid of a span, in lex order, is the outer sum of
+    head rows (gathered from the per-column tables of d*h_j) and a tail
+    grid over the last columns, built once per span. The key
+    sum(digit * p^lane) is the integer _syndrome_ops' finalize gives.
+    """
+    ctx = code.ctx
+    p, m, q, r = ctx.p, ctx.m, ctx.q, code.r
+    lanes = r * m
+    dt = np.min_scalar_type(2 * (p - 1))
+    place = p ** np.arange(m)
+    tabs = []  # tabs[j][lane, d]: the digits of d * h_j
+    for j in range(code.n):
+        prods = np.array(
+            [[ctx.mul(d, code.H.at(i, j)) for d in range(q)] for i in range(r)], dtype=np.int64
+        ).reshape(r, q)
+        tabs.append((prods[:, None, :] // place[:, None] % p).reshape(lanes, q).astype(dt))
+
+    keys = np.empty(1 + sum((q - 1) * q ** (w - 1) for _, w in spans), dtype=np.int64)
+    keys[0] = 0  # the zero burst
+    at = 1
+    for start, width in spans:
+        cut = start + width
+        while cut - 1 > start and q ** (start + width - cut + 1) <= CHUNK_ROWS:
+            cut -= 1
+        tail = np.zeros((lanes, 1), dtype=dt)
+        for j in range(cut, start + width):
+            tail = ((tail[:, :, None] + tabs[j][:, None, :]) % p).reshape(lanes, tail.shape[1] * q)
+        heads = (q - 1) * q ** (cut - start - 1)
+        step = max(1, CHUNK_ROWS // tail.shape[1])
+        for lo in range(0, heads, step):
+            idx = np.arange(lo, min(lo + step, heads))
+            head = np.zeros((lanes, idx.size), dtype=dt)
+            for j in range(cut - 1, start, -1):
+                idx, d = np.divmod(idx, q)
+                head += tabs[j][:, d]
+                head %= p
+            head += tabs[start][:, idx + 1]
+            head %= p
+            grid = (head[:, :, None] + tail[:, None, :]).reshape(lanes, idx.size * tail.shape[1])
+            grid %= p
+            block = np.zeros(grid.shape[1], dtype=np.int64)
+            for lane in reversed(range(lanes)):
+                block *= p
+                block += grid[lane]
+            keys[at : at + block.size] = block
+            at += block.size
+    if at != keys.size:
+        raise AssertionError("the span grids left syndrome keys unfilled")
+    return keys
+
+
+def _grid_burst(q: int, n: int, spans, g: int) -> Word:
+    """The burst at position g of the enumeration (0 is the zero burst)."""
+    w = [0] * n
+    if g == 0:
+        return tuple(w)
+    g -= 1
+    for start, width in spans:
+        size = (q - 1) * q ** (width - 1)
+        if g < size:
+            for j in range(start + width - 1, start, -1):
+                g, w[j] = divmod(g, q)
+            w[start] = g + 1
+            break
+        g -= size
+    return tuple(w)
+
+
+def _count(q: int, space: BurstSpace) -> int:
+    """The closed-form number of bursts in the space."""
+    if space.phased:
+        return count_bursts_phased(q, space.n, space.tau)
+    return count_bursts(q, space.n, space.tau)
+
+
 def max_list_size(
     code,
     tau: int,
@@ -340,21 +457,20 @@ def max_list_size(
 
 def _max_list_linear(code: LinearCode, space: BurstSpace, ell, cap) -> CertReport:
     ctx = code.ctx
-    buckets = _bucket_syndromes(code, space, cap)
-    max_count = max(buckets.values())
+    _caps.check("burst bucketing q^tau * n", ctx.q ** space.tau * space.n, _caps.enum_cap(cap))
+    scan = _scan_numpy(code, space, ell)
+    if scan is None:
+        scan = _scan_pure(code, space, ell)
+    bursts, n_buckets, max_count, witness_bursts = scan
+    if bursts != _count(ctx.q, space):
+        raise AssertionError("bucketed burst count disagrees with the closed form")
     witness = None
-    if ell is not None and max_count > ell:
-        target = min(k for k, v in buckets.items() if v == max_count)
-        bursts = _collect_bucket(code, space, target, ell + 1)
-        y = bursts[0]
+    if witness_bursts is not None:
+        y = witness_bursts[0]
         witness = tuple(
-            (_word_sub(ctx, y, e), BurstPattern.from_word(e, space.tau)) for e in bursts
+            (_word_sub(ctx, y, e), BurstPattern.from_word(e, space.tau)) for e in witness_bursts
         )
-    work = {
-        "bursts": sum(buckets.values()),
-        "buckets": len(buckets),
-        "windows": len(space.windows),
-    }
+    work = {"bursts": bursts, "buckets": n_buckets, "windows": len(space.windows)}
     detects = detects_single_burst(code, space.tau)
     return CertReport(detects, max_count, witness, work)
 
@@ -362,11 +478,7 @@ def _max_list_linear(code: LinearCode, space: BurstSpace, ell, cap) -> CertRepor
 def _max_list_explicit(code: ExplicitCode, space: BurstSpace, ell, cap) -> CertReport:
     ctx = code.ctx
     limit = _caps.enum_cap(cap)
-    n_bursts = (
-        count_bursts_phased(ctx.q, space.n, space.tau)
-        if space.phased
-        else count_bursts(ctx.q, space.n, space.tau)
-    )
+    n_bursts = _count(ctx.q, space)
     _caps.check("sum bucketing |C| * V", code.size * n_bursts, limit)
     buckets: dict[Word, int] = {}
     get = buckets.get
@@ -421,10 +533,7 @@ def replay_witness(code, witness, tau: int, phased: bool = False) -> bool:
             return False
         if phased and not any(_support_in(e, w) for w in space.windows):
             return False
-        if isinstance(code, LinearCode):
-            if not code.contains(c):
-                return False
-        elif not code.contains(c):
+        if not code.contains(c):
             return False
         y = _word_add(ctx, c, e)
         if common is None:

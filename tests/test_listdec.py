@@ -1,8 +1,14 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import burstkit
 from burstkit import (
     BurstPattern,
     BurstSpace,
@@ -12,16 +18,21 @@ from burstkit import (
     LinearCode,
     appendix_a_code,
     certify,
+    count_bursts,
     decode,
     detects_single_burst,
     example_code_1,
     example_code_2,
     expand,
+    field_from_order,
+    field_new,
     is_burst,
+    listdec,
     max_list_size,
     replay_witness,
     rs_code,
 )
+from burstkit.burst import anchored_spans
 from burstkit.listdec import _word_add, _word_sub
 
 
@@ -230,9 +241,102 @@ def test_work_counters_present(fields):
     assert rep.work["buckets"] > 0 and rep.work["windows"] == 5
 
 
-def test_caps_are_hard_errors(fields):
+class _Untouchable:
+    """Stands in for numpy: any use of it fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} used")
+
+
+def test_caps_are_hard_errors(fields, monkeypatch):
     code = rs_code(fields[16], 15, 6)
     with pytest.raises(CapExceeded):
         max_list_size(code, 4, cap=1000)
     with pytest.raises(CapExceeded):
         expand(code)
+    # the scan cap fires before the numpy kernel touches numpy at all
+    monkeypatch.setitem(sys.modules, "numpy", _Untouchable())
+    with pytest.raises(CapExceeded, match=r"^burst bucketing q\^tau \* n needs 983040 > cap 1000$"):
+        max_list_size(code, 4, cap=1000)
+
+
+# -- the numpy scan kernel against the pure-Python scan ---------------------
+
+SMALL_FIELDS = {q: field_from_order(q) for q in (2, 3, 4, 5, 8, 9)}
+
+
+@st.composite
+def small_linear_codes(draw):
+    """Random full-rank parity checks over prime, 2^m and odd p^m fields,
+    small enough for explicit sum bucketing."""
+    q = draw(st.sampled_from(sorted(SMALL_FIELDS)))
+    ctx = SMALL_FIELDS[q]
+    n = draw(st.integers(2, 6))
+    r = draw(st.integers(0, min(3, n)))
+    tau = draw(st.integers(1, n))
+    assume(q ** (n - r) <= 81 and q ** (n - r) * count_bursts(q, n, tau) <= 20000)
+    data = draw(st.lists(st.integers(0, q - 1), min_size=r * n, max_size=r * n))
+    try:
+        code = LinearCode(ctx, n, Mat(ctx, r, n, data))
+    except ValueError:  # rank-deficient draw
+        assume(False)
+    return code, tau
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_linear_codes(), st.booleans(), st.integers(1, 3))
+def test_scan_kernels_agree_with_sum_bucketing(case, phased, ell):
+    code, tau = case
+    fast = max_list_size(code, tau, phased=phased, ell=ell)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(sys.modules, "numpy", None)
+        pure = max_list_size(code, tau, phased=phased, ell=ell)
+    explicit = max_list_size(expand(code), tau, phased=phased, ell=ell)
+    assert fast.max_list == pure.max_list == explicit.max_list
+    assert fast.work == pure.work
+    assert fast.work["bursts"] == explicit.work["bursts"]
+    assert fast.witness == pure.witness
+    for rep in (pure, explicit):
+        assert (rep.witness is None) == (rep.max_list <= ell)
+        if rep.witness is not None:
+            assert replay_witness(code, rep.witness, tau, phased)
+
+
+@pytest.mark.parametrize("q,n,r,tau,ell", [(7, 6, 3, 2, 1), (8, 7, 2, 2, 2), (9, 8, 3, 2, 1)])
+def test_certify_without_numpy_is_identical(monkeypatch, q, n, r, tau, ell):
+    code = rs_code(field_from_order(q), n, r)
+    fast = certify(code, tau, ell)
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    assert certify(code, tau, ell) == fast
+
+
+def test_keys_beyond_int64_take_the_pure_path():
+    code = rs_code(field_new(2, 11), 23, 6)  # q^r = 2^66
+    assert listdec._scan_numpy(code, BurstSpace(23, 1), 1) is None
+    rep = certify(code, 1, 1)
+    assert rep.decodable and rep.work["bursts"] == count_bursts(2048, 23, 1)
+
+
+def test_import_does_not_load_numpy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(burstkit.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = "import sys, burstkit, burstkit.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", probe], env=env, timeout=120).returncode == 0
+
+
+@pytest.mark.parametrize("rows", [1, 5, 50])
+def test_chunked_scan_matches_pure_buckets(fields, monkeypatch, rows):
+    np = pytest.importorskip("numpy")
+    monkeypatch.setattr(listdec, "CHUNK_ROWS", rows)
+    cases = (
+        (rs_code(fields[7], 6, 3), 3, False),
+        (rs_code(fields[8], 7, 3), 3, True),
+        (rs_code(field_new(3, 2), 8, 3), 2, False),
+    )
+    for code, tau, phased in cases:
+        space = BurstSpace(code.n, tau, phased)
+        keys = listdec._syndrome_keys(np, code, list(anchored_spans(space)))
+        uniq, counts = np.unique(keys, return_counts=True)
+        assert dict(zip(uniq.tolist(), counts.tolist())) == listdec._bucket_syndromes(code, space)
+        assert listdec._scan_numpy(code, space, 1) == listdec._scan_pure(code, space, 1)
