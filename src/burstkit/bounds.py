@@ -18,17 +18,6 @@ from dataclasses import dataclass, field
 
 from .burst import count_bursts
 
-BOUND_IDS = (
-    "sphere_packing",
-    "reiger_group",
-    "reiger_group_relaxed",
-    "reiger_linear",
-    "general_ell2",
-    "general_any_ell",
-    "no_detection_ell2",
-    "lemma_Mell",
-)
-
 
 @dataclass(frozen=True)
 class BoundVerdict:
@@ -276,28 +265,32 @@ def no_detection_ell2(q: int, n: int, tau: int, size: int) -> BoundVerdict:
     )
 
 
+# Every bound by id, each called as f(q, n, tau, ell, size).
+BOUNDS = {
+    "sphere_packing": sphere_packing,
+    "reiger_group": reiger_group,
+    "reiger_group_relaxed": lambda q, n, tau, ell, size: reiger_group(
+        q, n, tau, ell, size, relaxed=True
+    ),
+    "reiger_linear": reiger_linear,
+    "general_ell2": lambda q, n, tau, ell, size: general_code_ell2(q, n, tau, size),
+    "general_any_ell": general_code_any_ell,
+    "no_detection_ell2": lambda q, n, tau, ell, size: no_detection_ell2(q, n, tau, size),
+    "lemma_Mell": lambda q, n, tau, ell, size: lemma_Mell(q, ell, size),
+}
+BOUND_IDS = tuple(BOUNDS)
+
+
 def all_verdicts(q: int, n: int, tau: int, ell: int, size: int) -> list[BoundVerdict]:
-    """Every bound evaluated on one parameter set, in BOUND_IDS order."""
-    out = [
-        sphere_packing(q, n, tau, ell, size),
-        reiger_group(q, n, tau, ell, size),
-        reiger_group(q, n, tau, ell, size, relaxed=True),
-        reiger_linear(q, n, tau, ell, size),
-        general_code_ell2(q, n, tau, size),
-        general_code_any_ell(q, n, tau, ell, size),
-        no_detection_ell2(q, n, tau, size),
+    """Every bound evaluated on one parameter set, in BOUND_IDS order.
+
+    lemma_Mell speaks only of n = 2 ell and tau = ell; elsewhere it is
+    listed as inapplicable.
+    """
+    inputs = {"q": q, "n": n, "tau": tau, "ell": ell, "size": size}
+    return [
+        BOUNDS[b](q, n, tau, ell, size)
+        if b != "lemma_Mell" or (n == 2 * ell and tau == ell)
+        else BoundVerdict(b, False, None, None, None, inputs)
+        for b in BOUND_IDS
     ]
-    if n == 2 * ell and tau == ell:
-        out.append(lemma_Mell(q, ell, size))
-    else:
-        out.append(
-            BoundVerdict(
-                "lemma_Mell",
-                False,
-                None,
-                None,
-                None,
-                {"q": q, "n": n, "tau": tau, "ell": ell, "size": size},
-            )
-        )
-    return out

@@ -206,32 +206,13 @@ def cmd_certify(args) -> int:
 
 def cmd_bounds(args) -> int:
     cfg = {"q": args.q, "n": args.n, "tau": args.tau, "ell": args.ell, "size": args.size}
+    params = (args.q, args.n, args.tau, args.ell, args.size)
     if args.bound == "all":
-        verdicts = bounds_mod.all_verdicts(args.q, args.n, args.tau, args.ell, args.size)
+        verdicts = bounds_mod.all_verdicts(*params)
+    elif args.bound in bounds_mod.BOUNDS:
+        verdicts = [bounds_mod.BOUNDS[args.bound](*params)]
     else:
-        b = args.bound
-        if b == "sphere_packing":
-            verdicts = [bounds_mod.sphere_packing(args.q, args.n, args.tau, args.ell, args.size)]
-        elif b == "reiger_group":
-            verdicts = [bounds_mod.reiger_group(args.q, args.n, args.tau, args.ell, args.size)]
-        elif b == "reiger_group_relaxed":
-            verdicts = [
-                bounds_mod.reiger_group(args.q, args.n, args.tau, args.ell, args.size, relaxed=True)
-            ]
-        elif b == "reiger_linear":
-            verdicts = [bounds_mod.reiger_linear(args.q, args.n, args.tau, args.ell, args.size)]
-        elif b == "general_ell2":
-            verdicts = [bounds_mod.general_code_ell2(args.q, args.n, args.tau, args.size)]
-        elif b == "general_any_ell":
-            verdicts = [
-                bounds_mod.general_code_any_ell(args.q, args.n, args.tau, args.ell, args.size)
-            ]
-        elif b == "no_detection_ell2":
-            verdicts = [bounds_mod.no_detection_ell2(args.q, args.n, args.tau, args.size)]
-        elif b == "lemma_Mell":
-            verdicts = [bounds_mod.lemma_Mell(args.q, args.ell, args.size)]
-        else:
-            raise ValueError(f"unknown bound id {b!r}")
+        raise ValueError(f"unknown bound id {args.bound!r}")
     _emit(_report("bounds", cfg, {"verdicts": [_verdict_json(v) for v in verdicts]}), args)
     return EXIT_OK
 

@@ -16,7 +16,7 @@ from functools import cached_property
 from . import _caps
 from .burst import Word
 from .gf import Fe, FieldCtx, field_from_dict
-from .matpoly import Mat, mat_vec, null_space, rank
+from .matpoly import Mat, mat_vec, null_space, rank, span_members
 
 
 @dataclass(frozen=True)
@@ -74,22 +74,7 @@ class LinearCode:
         """Iterate all q^k codewords (guarded by the codeword cap)."""
         limit = _caps.codewords_cap(cap)
         _caps.check("codeword expansion q^k", self.size, limit)
-        g = self.generator_matrix()
-        ctx = self.ctx
-        q = ctx.q
-        words = [(0,) * self.n]
-        for i in range(g.rows):
-            grow = g.row(i)
-            scaled = []
-            for a in range(1, q):
-                scaled.append(tuple(ctx.mul(a, x) for x in grow))
-            nxt = []
-            for w in words:
-                nxt.append(w)
-                for sc in scaled:
-                    nxt.append(tuple(ctx.add(x, y) for x, y in zip(w, sc)))
-            words = nxt
-        return iter(words)
+        return iter(span_members(self.ctx, (0,) * self.n, self.generator_matrix().to_rows()))
 
 
 @dataclass(frozen=True)
@@ -174,11 +159,9 @@ def is_group_code(code: ExplicitCode, cap: int | None = None) -> bool:
 def rs_code(ctx: FieldCtx, n: int, r: int) -> LinearCode:
     """Reed-Solomon code with parity checks at the powers of an order-n
     element: H[s][j] = alpha^(s j) with alpha = generator^((q-1)/n)."""
-    if n < 1 or (ctx.q - 1) % n != 0:
-        raise ValueError(f"n = {n} must divide q - 1 = {ctx.q - 1}")
+    alpha = rs_alpha(ctx, n)
     if not 0 <= r < n:
         raise ValueError(f"redundancy must satisfy 0 <= r < n, got {r}")
-    alpha = ctx.pow(ctx.generator, (ctx.q - 1) // n)
     rows = [[ctx.pow(alpha, s * j) for j in range(n)] for s in range(r)]
     h = Mat.from_rows(ctx, rows, cols=n) if rows else Mat(ctx, 0, n)
     return LinearCode(ctx, n, h)

@@ -7,15 +7,23 @@ empty set). For linear codes each candidate window costs one affine
 solve against the syndrome. Certification never scans received words:
 the linear path buckets every tau-burst by syndrome and reads the
 largest bucket, the explicit path buckets codeword+burst sums; the two
-paths compute the same maximum and are cross-checked in the tests. The
-syndrome scan runs as one numpy kernel when numpy is importable; the
-pure-Python scan is its fallback and the reference the tests compare
-it against.
+paths compute the same maximum and are cross-checked in the tests.
+
+The syndrome scan emits one integer key per burst, in enumeration
+order, and counts the keys; the witness is the first ell+1 bursts whose
+key is the smallest of the largest bucket, decoded from their positions
+in that order. It runs as one numpy kernel when numpy is importable.
+The pure-Python key stream, span by span in the same order with the
+same keys, is its fallback and the reference the tests compare it
+against.
 """
 
 from __future__ import annotations
 
+import operator
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, compress, count, islice
 
 from . import _caps
 from .burst import (
@@ -29,7 +37,7 @@ from .burst import (
     is_burst,
 )
 from .codes import CodeHandle, ExplicitCode, LinearCode
-from .matpoly import Mat, rank, solve_affine
+from .matpoly import Mat, rank, solve_affine, span_members
 
 
 @dataclass
@@ -100,20 +108,16 @@ def _decode_linear(code: LinearCode, y: Word, tau: int, space: BurstSpace, cap) 
     found: dict[Word, BurstPattern] = {}
     stats: dict[int, int] = {}
     for win in space.windows:
-        cols = list(win)
-        a = Mat.from_rows(
-            ctx, [[code.H.at(i, j) for j in cols] for i in range(code.r)], cols=len(cols)
-        )
-        sol = solve_affine(a, syn)
+        sol = solve_affine(_window_matrix(code, win), syn)
         if sol is None:
             stats[win.start] = 0
             continue
         particular, basis = sol
         _caps.check("window solution set q^b", ctx.q ** len(basis), limit)
         kept = 0
-        for ew in _affine_members(ctx, particular, basis):
+        for ew in span_members(ctx, particular, basis):
             e = [0] * code.n
-            for j, v in zip(cols, ew):
+            for j, v in zip(win, ew):
                 e[j] = v
             e = tuple(e)
             if not is_burst(e, tau):
@@ -127,19 +131,10 @@ def _decode_linear(code: LinearCode, y: Word, tau: int, space: BurstSpace, cap) 
     return ListDecodeResult(candidates, stats)
 
 
-def _affine_members(ctx, particular, basis):
-    """Iterate the affine set particular + span(basis)."""
-    words = [tuple(particular)]
-    q = ctx.q
-    for b in basis:
-        scaled = [tuple(ctx.mul(a, x) for x in b) for a in range(1, q)]
-        nxt = []
-        for w in words:
-            nxt.append(w)
-            for sc in scaled:
-                nxt.append(tuple(ctx.add(x, s) for x, s in zip(w, sc)))
-        words = nxt
-    return iter(words)
+def _window_matrix(code: LinearCode, win: range) -> Mat:
+    """The columns of H inside the window."""
+    rows = [[code.H.at(i, j) for j in win] for i in range(code.r)]
+    return Mat.from_rows(code.ctx, rows, cols=len(win))
 
 
 def _decode_explicit(code: ExplicitCode, y: Word, tau: int, space: BurstSpace, cap) -> ListDecodeResult:
@@ -175,16 +170,8 @@ def detects_single_burst(code, tau: int, cap: int | None = None) -> bool:
     """
     code = _as_code(code)
     if isinstance(code, LinearCode):
-        for win in BurstSpace(code.n, tau).windows:
-            cols = list(win)
-            a = Mat.from_rows(
-                code.ctx,
-                [[code.H.at(i, j) for j in cols] for i in range(code.r)],
-                cols=len(cols),
-            )
-            if rank(a) != len(cols):
-                return False
-        return True
+        windows = BurstSpace(code.n, tau).windows
+        return all(rank(_window_matrix(code, win)) == len(win) for win in windows)
     limit = _caps.enum_cap(cap)
     _caps.check("pairwise difference scan |C|^2", code.size**2, limit)
     ctx = code.ctx
@@ -198,116 +185,45 @@ def detects_single_burst(code, tau: int, cap: int | None = None) -> bool:
 # -- certification -------------------------------------------------------
 
 def _syndrome_ops(code: LinearCode):
-    """Per-field encoding of syndrome vectors for the bucketing scan.
+    """Per-field encoding of syndrome vectors for the pure-Python scan.
 
-    Returns (zero, scaled, combine, finalize): scaled[j][d] is d times
-    column j of H, combine adds two encoded syndromes, finalize turns an
-    encoded syndrome into a hashable integer key. Characteristic-2
-    fields pack the whole vector into one int so combine is XOR.
+    Returns (zero, scaled, combine, key): scaled[j][d] is d times column
+    j of H, combine adds two encoded syndromes and key(a, b) is the
+    integer key sum(s_i * q^i) of their sum s. Characteristic-2 fields
+    pack the whole vector into one int, which is already its key, so
+    both are XOR; every odd field keeps a tuple of elements.
     """
     ctx = code.ctx
     r, n, q = code.r, code.n, ctx.q
+    cols = [[[ctx.mul(d, code.H.at(i, j)) for i in range(r)] for d in range(q)] for j in range(n)]
     if ctx.p == 2:
-        bits = max(1, ctx.m)
-
-        def pack(vec):
-            k = 0
-            for i in reversed(range(r)):
-                k = (k << bits) | vec[i]
-            return k
-
-        scaled = [
-            [pack([ctx.mul(d, code.H.at(i, j)) for i in range(r)]) for d in range(q)]
-            for j in range(n)
-        ]
-        return 0, scaled, (lambda a, b: a ^ b), (lambda a: a)
-
-    if ctx.m == 1:
-        p = ctx.p
-
-        def combine(a, b):
-            return tuple((x + y) % p for x, y in zip(a, b))
-    else:
-        add = ctx.add
-
-        def combine(a, b):
-            return tuple(add(x, y) for x, y in zip(a, b))
-
-    def finalize(vec):
-        k = 0
-        for x in reversed(vec):
-            k = k * q + x
-        return k
-
-    zero = (0,) * r
-    scaled = [
-        [tuple(ctx.mul(d, code.H.at(i, j)) for i in range(r)) for d in range(q)]
-        for j in range(n)
-    ]
-    return zero, scaled, combine, finalize
+        scaled = [[sum(x << (ctx.m * i) for i, x in enumerate(v)) for v in col] for col in cols]
+        return 0, scaled, operator.xor, operator.xor
+    add = ctx.add
+    place = [q**i for i in range(r)]
+    return (
+        (0,) * r,
+        [[tuple(v) for v in col] for col in cols],
+        lambda a, b: tuple(map(add, a, b)),
+        lambda a, b: sum(map(operator.mul, map(add, a, b), place)),
+    )
 
 
-def _bucket_syndromes(code: LinearCode, space: BurstSpace) -> dict[int, int]:
-    """Count tau-bursts per syndrome key, the zero burst included."""
-    zero, scaled, combine, finalize = _syndrome_ops(code)
-    q = code.ctx.q
-    buckets: dict[int, int] = {finalize(zero): 1}
-    get = buckets.get
-    for start, width in anchored_spans(space):
-        local = scaled[start : start + width]
+def _pure_keys(code: LinearCode, spans):
+    """The syndrome key of every burst, in enumeration order: the zero
+    burst first, then one list per anchored span.
 
-        def rec(idx: int, acc) -> None:
-            if idx == width:
-                k = finalize(acc)
-                buckets[k] = get(k, 0) + 1
-                return
-            tab = local[idx]
-            if idx > 0:
-                rec(idx + 1, acc)
-            for d in range(1, q):
-                rec(idx + 1, combine(acc, tab[d]))
-
-        rec(0, zero)
-    return buckets
-
-
-def _collect_bucket(
-    code: LinearCode, space: BurstSpace, target: int, limit: int
-) -> list[Word]:
-    """First `limit` bursts (enumeration order) whose syndrome key is target."""
-    ctx = code.ctx
-    zero, scaled, combine, finalize = _syndrome_ops(code)
-    q = ctx.q
-    n = space.n
-    out: list[Word] = []
-    if finalize(zero) == target:
-        out.append((0,) * n)
-    for start, width in anchored_spans(space):
-        if len(out) >= limit:
-            break
-        local = scaled[start : start + width]
-        digits = [0] * width
-
-        def rec(idx: int, acc) -> bool:
-            if idx == width:
-                if finalize(acc) == target:
-                    w = [0] * n
-                    w[start : start + width] = digits
-                    out.append(tuple(w))
-                    if len(out) >= limit:
-                        return True
-                return False
-            tab = local[idx]
-            lo = 1 if idx == 0 else 0
-            for d in range(lo, q):
-                digits[idx] = d
-                nxt = acc if d == 0 else combine(acc, tab[d])
-                if rec(idx + 1, nxt):
-                    return True
-            return False
-
-        rec(0, zero)
-    return out
+    A span's list is the outer sum of its column tables, built from the
+    last column back as in _syndrome_keys; the first column takes
+    nonzero digits only.
+    """
+    zero, scaled, combine, key = _syndrome_ops(code)
+    yield [0]  # the zero syndrome has key 0 in both encodings
+    for start, width in spans:
+        acc = [zero]
+        for tab in reversed(scaled[start + 1 : start + width]):
+            acc = [combine(t, a) for t in tab for a in acc]
+        yield [key(t, a) for t in scaled[start][1:] for a in acc]
 
 
 def _scan_pure(code: LinearCode, space: BurstSpace, ell):
@@ -315,14 +231,20 @@ def _scan_pure(code: LinearCode, space: BurstSpace, ell):
 
     The witness bursts are the first ell+1 bursts, in enumeration order,
     of the largest bucket with the smallest key; None unless that bucket
-    holds more than ell bursts.
+    holds more than ell bursts. They come from a second run of the key
+    stream that stops at the last one needed.
     """
-    buckets = _bucket_syndromes(code, space)
+    spans = list(anchored_spans(space))
+    buckets: Counter[int] = Counter()
+    for keys in _pure_keys(code, spans):
+        buckets.update(keys)
     max_count = max(buckets.values())
     bursts = None
     if ell is not None and max_count > ell:
         target = min(k for k, v in buckets.items() if v == max_count)
-        bursts = _collect_bucket(code, space, target, ell + 1)
+        stream = chain.from_iterable(_pure_keys(code, spans))
+        hits = islice(compress(count(), map(target.__eq__, stream)), ell + 1)
+        bursts = [_grid_burst(code.ctx.q, space.n, spans, g) for g in hits]
     return sum(buckets.values()), len(buckets), max_count, bursts
 
 
@@ -360,7 +282,7 @@ def _syndrome_keys(np, code: LinearCode, spans):
     field. The payload grid of a span, in lex order, is the outer sum of
     head rows (gathered from the per-column tables of d*h_j) and a tail
     grid over the last columns, built once per span. The key
-    sum(digit * p^lane) is the integer _syndrome_ops' finalize gives.
+    sum(digit * p^lane) is the integer _pure_keys gives.
     """
     ctx = code.ctx
     p, m, q, r = ctx.p, ctx.m, ctx.q, code.r

@@ -42,16 +42,6 @@ def poly_neg(ctx: FieldCtx, a: Poly) -> Poly:
     return tuple(ctx.neg(c) for c in a)
 
 
-def poly_sub(ctx: FieldCtx, a: Poly, b: Poly) -> Poly:
-    return poly_add(ctx, a, poly_neg(ctx, b))
-
-
-def poly_scale(ctx: FieldCtx, a: Poly, c: Fe) -> Poly:
-    if c == 0:
-        return ()
-    return poly_trim(ctx.mul(x, c) for x in a)
-
-
 def poly_mul(ctx: FieldCtx, a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return ()
@@ -145,9 +135,6 @@ class Mat:
 
     def row(self, i: int) -> list[Fe]:
         return self.data[i * self.cols : (i + 1) * self.cols]
-
-    def col(self, j: int) -> list[Fe]:
-        return self.data[j :: self.cols]
 
     def to_rows(self) -> list[list[Fe]]:
         return [self.row(i) for i in range(self.rows)]
@@ -336,17 +323,22 @@ def solve_affine(a: Mat, b) -> tuple[list[Fe], list[list[Fe]]] | None:
     particular = [0] * a.cols
     for i, c in enumerate(pivots):
         particular[c] = r.at(i, a.cols)
-    basis = []
-    pivot_set = set(pivots)
-    for f in range(a.cols):
-        if f in pivot_set:
-            continue
-        v = [0] * a.cols
-        v[f] = 1
-        for i, c in enumerate(pivots):
-            v[c] = a.ctx.neg(r.at(i, f))
-        basis.append(v)
-    return particular, basis
+    return particular, _null_basis_from_rref(r, pivots, a.cols)
+
+
+def span_members(ctx: FieldCtx, origin, basis) -> list[tuple[Fe, ...]]:
+    """Every member of origin + span(basis), in lex order of the
+    coefficient vector (element indices, the last basis vector fastest)."""
+    words = [tuple(origin)]
+    for b in basis:
+        scaled = [tuple(ctx.mul(a, x) for x in b) for a in range(1, ctx.q)]
+        nxt = []
+        for w in words:
+            nxt.append(w)
+            for sc in scaled:
+                nxt.append(tuple(map(ctx.add, w, sc)))
+        words = nxt
+    return words
 
 
 def vandermonde(ctx: FieldCtx, xs) -> Mat:

@@ -92,7 +92,8 @@ class ResultantInstance:
 @dataclass(frozen=True)
 class RelationWitness:
     """Polynomials u_i with deg u_i < mu_i, not all zero, satisfying
-    sum_i u_i * M_i = 0. Verified on construction."""
+    sum_i u_i * M_i = 0. Not checked on construction: find_kernel_relation
+    checks the relations it returns, and verify_relation replays one."""
 
     polys: tuple[Poly, ...]
 

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from burstkit import (
+    BoundVerdict,
     all_verdicts,
     count_bursts,
     general_code_any_ell,
@@ -176,6 +177,10 @@ def test_all_verdicts_shape():
     ]
     # n = 2 ell and tau = ell here, so the size cap applies
     assert vs[-1].applicable
+    # elsewhere it is listed as inapplicable, with the inputs as given
+    assert all_verdicts(3, 6, 2, 2, 4)[-1] == BoundVerdict(
+        "lemma_Mell", False, None, None, None, {"q": 3, "n": 6, "tau": 2, "ell": 2, "size": 4}
+    )
 
 
 def test_integer_predicates_reject_bad_inputs():

@@ -1,6 +1,8 @@
 import json
 
-from burstkit import BurstPattern, code_from_dict, replay_witness
+import pytest
+
+from burstkit import BOUND_IDS, BurstPattern, code_from_dict, replay_witness
 from burstkit.cli import main
 
 
@@ -105,6 +107,16 @@ def test_bounds_all(capsys):
         "rhs": "4",
     }
     assert by_id["lemma_Mell"]["applicable"] is True
+
+
+@pytest.mark.parametrize("bound_id", BOUND_IDS)
+def test_bounds_single_id_matches_all(capsys, bound_id):
+    params = ("--q", "3", "--n", "4", "--tau", "2", "--ell", "2", "--size", "4")
+    _, every = run_cli(capsys, "bounds", *params)
+    code, single = run_cli(capsys, "bounds", *params, "--bound", bound_id)
+    assert code == 0
+    by_id = {v["bound_id"]: v for v in every["verdicts"]}
+    assert single["verdicts"] == [by_id[bound_id]]
 
 
 def test_bounds_unknown_id_usage_error(capsys):
