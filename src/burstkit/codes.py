@@ -251,11 +251,20 @@ def code_from_dict(d: dict) -> CodeHandle:
     n = int(d["n"])
     meta = d.get("meta", {})
     if d["kind"] == "linear":
-        h = Mat.from_rows(ctx, d["H"], cols=n)
-        g = Mat.from_rows(ctx, d["G"], cols=n) if "G" in d else None
+        h = Mat.from_rows(ctx, _elements(ctx, "H", d["H"]), cols=n)
+        g = Mat.from_rows(ctx, _elements(ctx, "G", d["G"]), cols=n) if "G" in d else None
         code: LinearCode | ExplicitCode = LinearCode(ctx, n, h, g)
     elif d["kind"] == "explicit":
-        code = ExplicitCode(ctx, n, tuple(tuple(w) for w in d["codewords"]))
+        code = ExplicitCode(ctx, n, tuple(map(tuple, _elements(ctx, "codeword", d["codewords"]))))
     else:
         raise ValueError(f"unknown code kind {d['kind']!r}")
     return CodeHandle(code, name=meta.get("name", ""), params=meta.get("params", {}))
+
+
+def _elements(ctx: FieldCtx, what: str, rows) -> list[list[Fe]]:
+    """The rows of a code file, each entry checked to be an element index."""
+    rows = [list(row) for row in rows]
+    for x in (x for row in rows for x in row):
+        if not isinstance(x, int) or not 0 <= x < ctx.q:
+            raise ValueError(f"{what} entry {x!r} is not an element of GF({ctx.q})")
+    return rows

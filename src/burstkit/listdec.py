@@ -10,12 +10,16 @@ largest bucket, the explicit path buckets codeword+burst sums; the two
 paths compute the same maximum and are cross-checked in the tests.
 
 The syndrome scan emits one integer key per burst, in enumeration
-order, and counts the keys; the witness is the first ell+1 bursts whose
-key is the smallest of the largest bucket, decoded from their positions
-in that order. It runs as one numpy kernel when numpy is importable.
-The pure-Python key stream, span by span in the same order with the
-same keys, is its fallback and the reference the tests compare it
-against.
+order, and counts the keys. It runs as one numpy kernel when numpy is
+importable; the pure-Python key stream, span by span in the same order
+with the same keys, is its fallback and the reference the tests compare
+it against. The scan only counts: the refutation witness comes from
+decode, run on the worst word y (a word whose syndrome is the smallest
+key of the largest bucket, or the smallest word of the largest sum
+bucket).
+
+Detection is tested window by window: a nonzero tau-burst difference of
+two codewords lies inside some window of tau consecutive positions.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, count, islice
 
 from . import _caps
 from .burst import (
@@ -95,6 +98,8 @@ def decode(code, y, tau: int, phased: bool = False, cap: int | None = None) -> L
     y = tuple(y)
     if len(y) != code.n:
         raise ValueError(f"received word has length {len(y)}, expected {code.n}")
+    if any(not 0 <= x < code.ctx.q for x in y):
+        raise ValueError(f"received word {list(y)} has an entry outside GF({code.ctx.q})")
     space = BurstSpace(code.n, tau, phased)
     if isinstance(code, LinearCode):
         return _decode_linear(code, y, tau, space, cap)
@@ -163,23 +168,20 @@ def _decode_explicit(code: ExplicitCode, y: Word, tau: int, space: BurstSpace, c
 def detects_single_burst(code, tau: int, cap: int | None = None) -> bool:
     """True iff no difference of two distinct codewords is a tau-burst.
 
-    For a linear code this is the window test: every set of tau
-    consecutive parity-check columns must be linearly independent
-    (a dependent window is exactly a nonzero tau-burst codeword). The
-    explicit path scans pairwise differences.
+    Such a difference is supported inside some window of tau consecutive
+    positions, so this is a test window by window. For a linear code
+    every window of parity-check columns must be linearly independent (a
+    dependent window is exactly a nonzero tau-burst codeword); for an
+    explicit code the codewords must stay distinct once the window's
+    positions are deleted.
     """
     code = _as_code(code)
+    windows = BurstSpace(code.n, tau).windows
     if isinstance(code, LinearCode):
-        windows = BurstSpace(code.n, tau).windows
         return all(rank(_window_matrix(code, win)) == len(win) for win in windows)
-    limit = _caps.enum_cap(cap)
-    _caps.check("pairwise difference scan |C|^2", code.size**2, limit)
-    ctx = code.ctx
-    for i, c1 in enumerate(code.codewords):
-        for c2 in code.codewords[i + 1 :]:
-            if is_burst(_word_sub(ctx, c1, c2), tau):
-                return False
-    return True
+    _caps.check("window deletion scan |C| * windows", code.size * len(windows), _caps.enum_cap(cap))
+    words = code.codewords
+    return all(len({c[: w.start] + c[w.stop :] for c in words}) == code.size for w in windows)
 
 
 # -- certification -------------------------------------------------------
@@ -226,26 +228,14 @@ def _pure_keys(code: LinearCode, spans):
         yield [key(t, a) for t in scaled[start][1:] for a in acc]
 
 
-def _scan_pure(code: LinearCode, space: BurstSpace, ell):
-    """The pure-Python scan: (bursts, buckets, max bucket, witness bursts).
-
-    The witness bursts are the first ell+1 bursts, in enumeration order,
-    of the largest bucket with the smallest key; None unless that bucket
-    holds more than ell bursts. They come from a second run of the key
-    stream that stops at the last one needed.
-    """
-    spans = list(anchored_spans(space))
+def _scan_pure(code: LinearCode, spans):
+    """The pure-Python scan: (bursts, buckets, max bucket, its smallest key)."""
     buckets: Counter[int] = Counter()
     for keys in _pure_keys(code, spans):
         buckets.update(keys)
     max_count = max(buckets.values())
-    bursts = None
-    if ell is not None and max_count > ell:
-        target = min(k for k, v in buckets.items() if v == max_count)
-        stream = chain.from_iterable(_pure_keys(code, spans))
-        hits = islice(compress(count(), map(target.__eq__, stream)), ell + 1)
-        bursts = [_grid_burst(code.ctx.q, space.n, spans, g) for g in hits]
-    return sum(buckets.values()), len(buckets), max_count, bursts
+    key = min(k for k, v in buckets.items() if v == max_count)
+    return sum(buckets.values()), len(buckets), max_count, key
 
 
 # Payload-grid rows per numpy block: a block holds CHUNK_ROWS * r * m
@@ -253,7 +243,7 @@ def _scan_pure(code: LinearCode, space: BurstSpace, ell):
 CHUNK_ROWS = 1 << 16
 
 
-def _scan_numpy(code: LinearCode, space: BurstSpace, ell):
+def _scan_numpy(code: LinearCode, spans):
     """The same result as _scan_pure from one vectorized pass; None when
     numpy is missing or a key would not fit in int64."""
     if code.ctx.q**code.r >= 1 << 63:
@@ -262,16 +252,10 @@ def _scan_numpy(code: LinearCode, space: BurstSpace, ell):
         import numpy as np
     except ImportError:
         return None
-    spans = list(anchored_spans(space))
     keys = _syndrome_keys(np, code, spans)
     uniq, counts = np.unique(keys, return_counts=True)
-    max_count = int(counts.max())
-    bursts = None
-    if ell is not None and max_count > ell:
-        target = uniq[np.argmax(counts)]  # uniq is sorted: the smallest key
-        hits = np.flatnonzero(keys == target)[: ell + 1].tolist()
-        bursts = [_grid_burst(code.ctx.q, space.n, spans, g) for g in hits]
-    return keys.size, uniq.size, max_count, bursts
+    best = np.argmax(counts)  # uniq is sorted: the smallest key of the largest bucket
+    return keys.size, uniq.size, int(counts[best]), int(uniq[best])
 
 
 def _syndrome_keys(np, code: LinearCode, spans):
@@ -330,23 +314,6 @@ def _syndrome_keys(np, code: LinearCode, spans):
     return keys
 
 
-def _grid_burst(q: int, n: int, spans, g: int) -> Word:
-    """The burst at position g of the enumeration (0 is the zero burst)."""
-    w = [0] * n
-    if g == 0:
-        return tuple(w)
-    g -= 1
-    for start, width in spans:
-        size = (q - 1) * q ** (width - 1)
-        if g < size:
-            for j in range(start + width - 1, start, -1):
-                g, w[j] = divmod(g, q)
-            w[start] = g + 1
-            break
-        g -= size
-    return tuple(w)
-
-
 def _count(q: int, space: BurstSpace) -> int:
     """The closed-form number of bursts in the space."""
     if space.phased:
@@ -365,70 +332,48 @@ def max_list_size(
 
     When ell is given and the maximum exceeds it, the report carries an
     (ell+1)-tuple witness of distinct (codeword, burst) pairs summing to
-    one common word.
+    one common word: the first candidates that decode returns for the
+    worst word y, by codeword for an explicit code and by burst in
+    enumeration order for a linear code.
     """
     code = _as_code(code)
+    ctx = code.ctx
     space = BurstSpace(code.n, tau, phased)
-    if isinstance(code, LinearCode):
-        report = _max_list_linear(code, space, ell, cap)
-    else:
-        report = _max_list_explicit(code, space, ell, cap)
-    report.ell = ell
-    return report
-
-
-def _max_list_linear(code: LinearCode, space: BurstSpace, ell, cap) -> CertReport:
-    ctx = code.ctx
-    _caps.check("burst bucketing q^tau * n", ctx.q ** space.tau * space.n, _caps.enum_cap(cap))
-    scan = _scan_numpy(code, space, ell)
-    if scan is None:
-        scan = _scan_pure(code, space, ell)
-    bursts, n_buckets, max_count, witness_bursts = scan
-    if bursts != _count(ctx.q, space):
-        raise AssertionError("bucketed burst count disagrees with the closed form")
-    witness = None
-    if witness_bursts is not None:
-        y = witness_bursts[0]
-        witness = tuple(
-            (_word_sub(ctx, y, e), BurstPattern.from_word(e, space.tau)) for e in witness_bursts
-        )
-    work = {"bursts": bursts, "buckets": n_buckets, "windows": len(space.windows)}
-    detects = detects_single_burst(code, space.tau)
-    return CertReport(detects, max_count, witness, work)
-
-
-def _max_list_explicit(code: ExplicitCode, space: BurstSpace, ell, cap) -> CertReport:
-    ctx = code.ctx
     limit = _caps.enum_cap(cap)
     n_bursts = _count(ctx.q, space)
-    _caps.check("sum bucketing |C| * V", code.size * n_bursts, limit)
-    buckets: dict[Word, int] = {}
-    get = buckets.get
-    for e in enumerate_bursts(ctx, space, cap):
-        for c in code.codewords:
-            y = _word_add(ctx, c, e)
-            buckets[y] = get(y, 0) + 1
-    max_count = max(buckets.values())
+    linear = isinstance(code, LinearCode)
+    if linear:
+        _caps.check("burst bucketing q^tau * n", ctx.q**tau * code.n, limit)
+        spans = list(anchored_spans(space))
+        bursts, n_buckets, max_count, key = _scan_numpy(code, spans) or _scan_pure(code, spans)
+        if bursts != n_bursts:
+            raise AssertionError("bucketed burst count disagrees with the closed form")
+        # y is any word whose syndrome has the key's base-q digits
+        y = solve_affine(code.H, [key // ctx.q**i % ctx.q for i in range(code.r)])[0]
+        work = {"bursts": bursts, "buckets": n_buckets, "windows": len(space.windows)}
+    else:
+        _caps.check("sum bucketing |C| * V", code.size * n_bursts, limit)
+        buckets = Counter(
+            _word_add(ctx, c, e) for e in enumerate_bursts(ctx, space, cap) for c in code.codewords
+        )
+        max_count = max(buckets.values())
+        y = min(k for k, v in buckets.items() if v == max_count)
+        work = {"bursts": n_bursts, "pairs": code.size * n_bursts, "buckets": len(buckets)}
     witness = None
     if ell is not None and max_count > ell:
-        y = min(k for k, v in buckets.items() if v == max_count)
-        pairs = []
-        for c in code.codewords:
-            e = _word_sub(ctx, y, c)
-            if is_burst(e, space.tau) and (
-                not space.phased or any(_support_in(e, w) for w in space.windows)
-            ):
-                pairs.append((c, BurstPattern.from_word(e, space.tau)))
-            if len(pairs) == ell + 1:
-                break
-        witness = tuple(pairs)
-    work = {
-        "bursts": n_bursts,
-        "pairs": code.size * n_bursts,
-        "buckets": len(buckets),
-    }
-    detects = detects_single_burst(code, space.tau, cap)
-    return CertReport(detects, max_count, witness, work)
+        # limit covered the scan, so it also covers each window's q^tau
+        # solutions and the |C| codewords that decode checks against it
+        found = decode(code, y, tau, phased, cap=limit).candidates
+        if linear:
+            # re-anchored at the first burst, the witness is the bucket's
+            # first ell+1 bursts in the order the scan enumerates them
+            pats = sorted(
+                (p for _, p in found), key=lambda p: (-1 if p.is_zero() else p.start, p.payload)
+            )
+            y = pats[0].expand(code.n)
+            found = [(_word_sub(ctx, y, p.expand(code.n)), p) for p in pats[: ell + 1]]
+        witness = tuple(found[: ell + 1])
+    return CertReport(detects_single_burst(code, tau, cap), max_count, witness, work, ell)
 
 
 def certify(code, tau: int, ell: int, cap: int | None = None) -> CertReport:

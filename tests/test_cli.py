@@ -203,3 +203,46 @@ def test_reproduce_rs_grid_small(capsys):
     names = [c["name"] for c in payload["checks"]]
     assert any(n.startswith("attain_") for n in names)
     assert any(n.startswith("converse_") for n in names)
+
+
+def _rs7_file(tmp_path, edit):
+    path = tmp_path / "rs7.json"
+    argv = ["construct", "--kind", "rs", "--q", "7", "--n", "6", "--r", "3"]
+    assert main([*argv, "--output", str(path)]) == 0
+    d = json.loads(path.read_text())
+    edit(d)
+    path.write_text(json.dumps(d))
+    return str(path)
+
+
+def _explicit(d):
+    del d["H"]
+    d["kind"] = "explicit"
+    d["codewords"] = [[0] * 6, [1, 1, 1, 1, 1, -1]]
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda d: d["H"][0].__setitem__(2, 99), "error: H entry 99 is not an element of GF(7)"),
+        (lambda d: d["H"][1].__setitem__(0, -1), "error: H entry -1 is not an element of GF(7)"),
+        (lambda d: d.update(G=[[7] * 6] * 3), "error: G entry 7 is not an element of GF(7)"),
+        (_explicit, "error: codeword entry -1 is not an element of GF(7)"),
+    ],
+    ids=["H-99", "H-minus-1", "G-7", "codeword-minus-1"],
+)
+def test_code_file_entries_outside_the_field_are_usage_errors(
+    capsys, tmp_path, edit, message
+):
+    path = _rs7_file(tmp_path, edit)
+    assert main(["certify", "--code", path, "--tau", "2", "--ell", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message + "\n"
+
+
+def test_received_word_outside_the_field_is_a_usage_error(capsys):
+    argv = ["decode", "--construct", "rs", "--q", "7", "--n", "6", "--r", "3", "--tau", "2"]
+    assert main([*argv, "--y", "9,0,0,0,0,-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: received word [9, 0, 0, 0, 0, -3] has an entry outside GF(7)\n"

@@ -32,8 +32,10 @@ from burstkit import (
     replay_witness,
     rs_code,
 )
-from burstkit.burst import anchored_spans
+from burstkit.burst import anchored_spans, enumerate_bursts
 from burstkit.listdec import _word_add, _word_sub
+
+SMALL_FIELDS = {q: field_from_order(q) for q in (2, 3, 4, 5, 8, 9)}
 
 
 def definitional_decode(code, y, tau, phased=False):
@@ -53,6 +55,13 @@ def definitional_decode(code, y, tau, phased=False):
             continue
         out.append(c)
     return sorted(out)
+
+
+def pairwise_detects(code, tau):
+    """The detection contract, evaluated over every pair of codewords."""
+    ctx = code.ctx
+    pairs = itertools.combinations(code.codewords, 2)
+    return not any(is_burst(_word_sub(ctx, c1, c2), tau) for c1, c2 in pairs)
 
 
 def test_decode_codeword_gets_zero_burst(fields):
@@ -159,9 +168,35 @@ def test_detects_linear_agrees_with_pairwise_scan(fields):
             except ValueError:
                 continue
             tau = rng.randint(1, n)
-            assert detects_single_burst(code, tau) == detects_single_burst(
-                expand(code), tau
-            )
+            verdict = detects_single_burst(code, tau)
+            assert verdict == detects_single_burst(expand(code), tau)
+            assert verdict == pairwise_detects(expand(code), tau)
+
+
+@st.composite
+def small_explicit_codes(draw):
+    """Random codeword subsets (nonlinear in general) with any tau."""
+    q = draw(st.sampled_from([2, 3, 4, 5]))
+    n = draw(st.integers(1, 5))
+    tau = draw(st.integers(1, n))
+    word = st.tuples(*[st.integers(0, q - 1)] * n)
+    words = draw(st.lists(word, min_size=1, max_size=min(q**n, 40)))
+    return ExplicitCode(SMALL_FIELDS[q], n, tuple(words)), tau
+
+
+def test_explicit_detection_matches_pairwise_oracle():
+    verdicts = set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_explicit_codes())
+    def check(case):
+        code, tau = case
+        verdict = detects_single_burst(code, tau)
+        assert verdict == pairwise_detects(code, tau)
+        verdicts.add(verdict)
+
+    check()
+    assert verdicts == {True, False}
 
 
 def test_max_list_singleton(fields):
@@ -233,6 +268,35 @@ def test_explicit_witness_replay(fields):
     assert replay_witness(code, rep.witness, 2)
 
 
+def test_phased_witnesses_frozen():
+    """Phased refutations, two with a last burst in a window clipped at
+    the end of the word; decode must return these exact witnesses."""
+    rep = max_list_size(rs_code(field_from_order(9), 8, 3), 3, phased=True, ell=2)
+    assert (rep.max_list, rep.work) == (3, {"bursts": 1537, "buckets": 729, "windows": 3})
+    assert rep.witness == (
+        ((0, 0, 0, 0, 0, 0, 0, 0), BurstPattern(0, (5, 7, 1))),
+        ((5, 7, 1, 8, 1, 5, 0, 0), BurstPattern(3, (4, 2, 7))),
+        ((5, 7, 1, 0, 0, 0, 4, 7), BurstPattern(6, (8, 5))),
+    )
+    code = rs_code(field_from_order(8), 7, 3)
+    rep = max_list_size(code, 3, phased=True, ell=2)
+    assert (rep.max_list, rep.work) == (3, {"bursts": 1030, "buckets": 512, "windows": 3})
+    assert rep.witness == (
+        ((0, 0, 0, 0, 0, 0, 0), BurstPattern(0, (7, 6, 5))),
+        ((7, 6, 5, 7, 2, 1, 0), BurstPattern(3, (7, 2, 1))),
+        ((7, 6, 5, 0, 0, 0, 4), BurstPattern(6, (4,))),
+    )
+    # a worst word the affine solve returns as (5, 3, 0, 0, 0, 0); the
+    # witness is re-anchored at its first burst
+    rep7 = max_list_size(rs_code(field_from_order(7), 6, 2), 3, phased=True, ell=1)
+    assert rep7.witness == (
+        ((0, 0, 0, 0, 0, 0), BurstPattern(0, (1, 6, 1))),
+        ((6, 6, 2, 0, 0, 0), BurstPattern(0, (2, 0, 6))),
+    )
+    # the scan's own cap at exactly q^tau * n also covers the witness decode
+    assert max_list_size(code, 3, phased=True, ell=2, cap=8**3 * 7) == rep
+
+
 def test_work_counters_present(fields):
     from burstkit import count_bursts
 
@@ -262,8 +326,6 @@ def test_caps_are_hard_errors(fields, monkeypatch):
 
 # -- the numpy scan kernel against the pure-Python scan ---------------------
 
-SMALL_FIELDS = {q: field_from_order(q) for q in (2, 3, 4, 5, 8, 9)}
-
 
 @st.composite
 def small_linear_codes(draw):
@@ -283,11 +345,28 @@ def small_linear_codes(draw):
     return code, tau
 
 
+def enumeration_witness(code, tau, phased, ell):
+    """The first ell+1 bursts, in enumeration order, whose syndrome key is
+    the smallest of the largest bucket, each paired with the codeword that
+    sums with it to the first of them; None when no bucket exceeds ell."""
+    ctx = code.ctx
+    by_key = {}
+    for e in enumerate_bursts(ctx, BurstSpace(code.n, tau, phased)):
+        key = sum(s * ctx.q**i for i, s in enumerate(code.syndrome(e)))
+        by_key.setdefault(key, []).append(e)
+    most = max(map(len, by_key.values()))
+    if most <= ell:
+        return None
+    bursts = by_key[min(k for k, v in by_key.items() if len(v) == most)][: ell + 1]
+    return tuple((_word_sub(ctx, bursts[0], e), BurstPattern.from_word(e, tau)) for e in bursts)
+
+
 @settings(max_examples=80, deadline=None)
 @given(small_linear_codes(), st.booleans(), st.integers(1, 3))
 def test_scan_kernels_agree_with_sum_bucketing(case, phased, ell):
     code, tau = case
     fast = max_list_size(code, tau, phased=phased, ell=ell)
+    assert fast.witness == enumeration_witness(code, tau, phased, ell)
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(sys.modules, "numpy", None)
         pure = max_list_size(code, tau, phased=phased, ell=ell)
@@ -312,7 +391,7 @@ def test_certify_without_numpy_is_identical(monkeypatch, q, n, r, tau, ell):
 
 def test_keys_beyond_int64_take_the_pure_path():
     code = rs_code(field_new(2, 11), 23, 6)  # q^r = 2^66
-    assert listdec._scan_numpy(code, BurstSpace(23, 1), 1) is None
+    assert listdec._scan_numpy(code, list(anchored_spans(BurstSpace(23, 1)))) is None
     rep = certify(code, 1, 1)
     assert rep.decodable and rep.work["bursts"] == count_bursts(2048, 23, 1)
 
@@ -339,4 +418,4 @@ def test_chunked_scan_matches_pure_buckets(fields, monkeypatch, rows):
         spans = list(anchored_spans(space))
         keys = listdec._syndrome_keys(np, code, spans)
         assert keys.tolist() == list(itertools.chain.from_iterable(listdec._pure_keys(code, spans)))
-        assert listdec._scan_numpy(code, space, 1) == listdec._scan_pure(code, space, 1)
+        assert listdec._scan_numpy(code, spans) == listdec._scan_pure(code, spans)
