@@ -47,8 +47,6 @@ from .codes import (
 from .gf import (
     Fe,
     FieldCtx,
-    discrete_log_ratio,
-    element_order,
     field_from_dict,
     field_from_order,
     field_new,

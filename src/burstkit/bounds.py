@@ -14,6 +14,7 @@ code sizes need not be powers of q.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .burst import count_bursts
@@ -21,12 +22,12 @@ from .burst import count_bursts
 
 @dataclass(frozen=True)
 class BoundVerdict:
-    """One bound instance.
+    """One bound instance, built only by _verdict and _inapplicable.
 
-    satisfied is computed ONLY from the exact integer comparison in
-    exact_terms; None means the hypotheses failed and nothing was
-    evaluated. max_size is the largest permitted |C| where applicable.
-    min_redundancy is the advisory real-valued rendering of the bound.
+    satisfied is the exact integer comparison recorded in exact_terms;
+    None means the hypotheses failed and nothing was evaluated. max_size
+    is the largest permitted |C| where applicable. min_redundancy is the
+    advisory real-valued rendering of the bound.
     """
 
     bound_id: str
@@ -36,6 +37,33 @@ class BoundVerdict:
     exact_terms: dict | None
     inputs: dict = field(default_factory=dict)
     min_redundancy: float | None = None
+
+
+_RELATIONS = {"<=": operator.le, "<": operator.lt}
+
+
+def _verdict(bound_id, inputs, lhs, relation, rhs, max_size, min_redundancy) -> BoundVerdict:
+    """An applicable verdict: satisfied is decided by lhs relation rhs."""
+    return BoundVerdict(
+        bound_id=bound_id,
+        applicable=True,
+        satisfied=_RELATIONS[relation](lhs, rhs),
+        max_size=max_size,
+        exact_terms={"lhs": lhs, "relation": relation, "rhs": rhs},
+        inputs=inputs,
+        min_redundancy=min_redundancy,
+    )
+
+
+def _inapplicable(bound_id: str, inputs: dict) -> BoundVerdict:
+    return BoundVerdict(bound_id, False, None, None, None, inputs)
+
+
+def _inputs(q, n, tau, ell, size, hypotheses=None) -> dict:
+    inputs = {"q": q, "n": n, "tau": tau, "ell": ell, "size": size}
+    if hypotheses is not None:
+        inputs["hypotheses"] = hypotheses
+    return inputs
 
 
 def _nth_root_floor(x: int, k: int) -> int:
@@ -65,15 +93,9 @@ def sphere_packing(q: int, n: int, tau: int, ell: int, size: int) -> BoundVerdic
         raise ValueError("ell and size must be positive")
     v = count_bursts(q, n, tau)
     rhs = ell * q**n
-    lhs = size * v
-    return BoundVerdict(
-        bound_id="sphere_packing",
-        applicable=True,
-        satisfied=lhs <= rhs,
-        max_size=rhs // v,
-        exact_terms={"lhs": lhs, "relation": "<=", "rhs": rhs},
-        inputs={"q": q, "n": n, "tau": tau, "ell": ell, "size": size},
-        min_redundancy=_logq(v / ell, q),
+    return _verdict(
+        "sphere_packing", _inputs(q, n, tau, ell, size),
+        size * v, "<=", rhs, rhs // v, _logq(v / ell, q),
     )
 
 
@@ -91,29 +113,13 @@ def reiger_group(
     if tau < 1 or ell < 1 or size < 1:
         raise ValueError("tau, ell and size must be positive")
     bound_id = "reiger_group_relaxed" if relaxed else "reiger_group"
-    inputs = {
-        "q": q,
-        "n": n,
-        "tau": tau,
-        "ell": ell,
-        "size": size,
-        "hypotheses": ["group_code", "detects_single_burst"],
-    }
-    applicable = (
-        tau % ell == 0 and 2 * tau <= n if relaxed else (ell + 1) * tau <= n
-    )
-    if not applicable:
-        return BoundVerdict(bound_id, False, None, None, None, inputs)
-    lhs = size**ell * q ** ((ell + 1) * tau)
-    rhs = q ** (n * ell)
-    return BoundVerdict(
-        bound_id=bound_id,
-        applicable=True,
-        satisfied=lhs <= rhs,
-        max_size=_nth_root_floor(q ** (n * ell - (ell + 1) * tau), ell),
-        exact_terms={"lhs": lhs, "relation": "<=", "rhs": rhs},
-        inputs=inputs,
-        min_redundancy=(1 + 1 / ell) * tau,
+    inputs = _inputs(q, n, tau, ell, size, ["group_code", "detects_single_burst"])
+    if not (tau % ell == 0 and 2 * tau <= n if relaxed else (ell + 1) * tau <= n):
+        return _inapplicable(bound_id, inputs)
+    return _verdict(
+        bound_id, inputs,
+        size**ell * q ** ((ell + 1) * tau), "<=", q ** (n * ell),
+        _nth_root_floor(q ** (n * ell - (ell + 1) * tau), ell), (1 + 1 / ell) * tau,
     )
 
 
@@ -130,33 +136,19 @@ def reiger_linear(q: int, n: int, tau: int, ell: int, size: int) -> BoundVerdict
     (so that r is an integer) and the group-code hypotheses hold."""
     if tau < 1 or ell < 1 or size < 1:
         raise ValueError("tau, ell and size must be positive")
-    inputs = {
-        "q": q,
-        "n": n,
-        "tau": tau,
-        "ell": ell,
-        "size": size,
-        "hypotheses": ["linear_code", "detects_single_burst"],
-    }
+    inputs = _inputs(q, n, tau, ell, size, ["linear_code", "detects_single_burst"])
     k = 0
     v = size
     while v % q == 0:
         v //= q
         k += 1
-    power_of_q = v == 1
     hyp = (ell + 1) * tau <= n or (tau % ell == 0 and 2 * tau <= n)
-    if not (power_of_q and hyp and k <= n):
-        return BoundVerdict("reiger_linear", False, None, None, None, inputs)
+    if not (v == 1 and hyp and k <= n):
+        return _inapplicable("reiger_linear", inputs)
     min_r = reiger_linear_min_r(tau, ell)
-    r = n - k
-    return BoundVerdict(
-        bound_id="reiger_linear",
-        applicable=True,
-        satisfied=r >= min_r,
-        max_size=q ** (n - min_r) if min_r <= n else 0,
-        exact_terms={"lhs": min_r, "relation": "<=", "rhs": r},
-        inputs=inputs,
-        min_redundancy=float(min_r),
+    return _verdict(
+        "reiger_linear", inputs,
+        min_r, "<=", n - k, q ** (n - min_r) if min_r <= n else 0, float(min_r),
     )
 
 
@@ -166,26 +158,14 @@ def general_code_ell2(q: int, n: int, tau: int, size: int) -> BoundVerdict:
     2 tau <= n."""
     if tau < 1 or size < 1:
         raise ValueError("tau and size must be positive")
-    inputs = {
-        "q": q,
-        "n": n,
-        "tau": tau,
-        "ell": 2,
-        "size": size,
-        "hypotheses": ["detects_single_burst"],
-    }
+    inputs = _inputs(q, n, tau, 2, size, ["detects_single_burst"])
     if tau % 2 != 0 or 2 * tau > n:
-        return BoundVerdict("general_ell2", False, None, None, None, inputs)
+        return _inapplicable("general_ell2", inputs)
     b = tau // 2
     threshold = q ** (n - 2 * tau) * (2 * q**b - 2)
-    return BoundVerdict(
-        bound_id="general_ell2",
-        applicable=True,
-        satisfied=size <= threshold,
-        max_size=threshold,
-        exact_terms={"lhs": size, "relation": "<=", "rhs": threshold},
-        inputs=inputs,
-        min_redundancy=2 * tau - _logq(2 * q**b - 2, q),
+    return _verdict(
+        "general_ell2", inputs,
+        size, "<=", threshold, threshold, 2 * tau - _logq(2 * q**b - 2, q),
     )
 
 
@@ -195,26 +175,13 @@ def general_code_any_ell(q: int, n: int, tau: int, ell: int, size: int) -> Bound
     2 tau <= n. The inequality is strict."""
     if tau < 1 or ell < 1 or size < 1:
         raise ValueError("tau, ell and size must be positive")
-    inputs = {
-        "q": q,
-        "n": n,
-        "tau": tau,
-        "ell": ell,
-        "size": size,
-        "hypotheses": ["detects_single_burst"],
-    }
+    inputs = _inputs(q, n, tau, ell, size, ["detects_single_burst"])
     if ell <= 1 or tau % ell != 0 or 2 * tau > n:
-        return BoundVerdict("general_any_ell", False, None, None, None, inputs)
-    b = tau // ell
-    threshold = ell * q ** (n - b * (ell + 1))
-    return BoundVerdict(
-        bound_id="general_any_ell",
-        applicable=True,
-        satisfied=size < threshold,
-        max_size=threshold - 1,
-        exact_terms={"lhs": size, "relation": "<", "rhs": threshold},
-        inputs=inputs,
-        min_redundancy=(1 + 1 / ell) * tau - _logq(ell, q),
+        return _inapplicable("general_any_ell", inputs)
+    threshold = ell * q ** (n - tau // ell * (ell + 1))
+    return _verdict(
+        "general_any_ell", inputs,
+        size, "<", threshold, threshold - 1, (1 + 1 / ell) * tau - _logq(ell, q),
     )
 
 
@@ -223,25 +190,13 @@ def lemma_Mell(q: int, ell: int, size: int) -> BoundVerdict:
     at tau = ell: size < ell * q^(ell-1)."""
     if ell < 1 or size < 1:
         raise ValueError("ell and size must be positive")
-    inputs = {
-        "q": q,
-        "n": 2 * ell,
-        "tau": ell,
-        "ell": ell,
-        "size": size,
-        "hypotheses": ["detects_single_burst"],
-    }
+    inputs = _inputs(q, 2 * ell, ell, ell, size, ["detects_single_burst"])
     if ell <= 1:
-        return BoundVerdict("lemma_Mell", False, None, None, None, inputs)
+        return _inapplicable("lemma_Mell", inputs)
     threshold = ell * q ** (ell - 1)
-    return BoundVerdict(
-        bound_id="lemma_Mell",
-        applicable=True,
-        satisfied=size < threshold,
-        max_size=threshold - 1,
-        exact_terms={"lhs": size, "relation": "<", "rhs": threshold},
-        inputs=inputs,
-        min_redundancy=(ell + 1) - _logq(ell, q),
+    return _verdict(
+        "lemma_Mell", inputs,
+        size, "<", threshold, threshold - 1, (ell + 1) - _logq(ell, q),
     )
 
 
@@ -250,18 +205,13 @@ def no_detection_ell2(q: int, n: int, tau: int, size: int) -> BoundVerdict:
     size <= 2 q^(n - 2 tau + tau/2); needs tau even and 2 tau <= n."""
     if tau < 1 or size < 1:
         raise ValueError("tau and size must be positive")
-    inputs = {"q": q, "n": n, "tau": tau, "ell": 2, "size": size, "hypotheses": []}
+    inputs = _inputs(q, n, tau, 2, size, [])
     if tau % 2 != 0 or 2 * tau > n:
-        return BoundVerdict("no_detection_ell2", False, None, None, None, inputs)
+        return _inapplicable("no_detection_ell2", inputs)
     threshold = 2 * q ** (n - 2 * tau + tau // 2)
-    return BoundVerdict(
-        bound_id="no_detection_ell2",
-        applicable=True,
-        satisfied=size <= threshold,
-        max_size=threshold,
-        exact_terms={"lhs": size, "relation": "<=", "rhs": threshold},
-        inputs=inputs,
-        min_redundancy=1.5 * tau - _logq(2, q),
+    return _verdict(
+        "no_detection_ell2", inputs,
+        size, "<=", threshold, threshold, 1.5 * tau - _logq(2, q),
     )
 
 
@@ -287,10 +237,9 @@ def all_verdicts(q: int, n: int, tau: int, ell: int, size: int) -> list[BoundVer
     lemma_Mell speaks only of n = 2 ell and tau = ell; elsewhere it is
     listed as inapplicable.
     """
-    inputs = {"q": q, "n": n, "tau": tau, "ell": ell, "size": size}
     return [
         BOUNDS[b](q, n, tau, ell, size)
         if b != "lemma_Mell" or (n == 2 * ell and tau == ell)
-        else BoundVerdict(b, False, None, None, None, inputs)
+        else _inapplicable(b, _inputs(q, n, tau, ell, size))
         for b in BOUND_IDS
     ]

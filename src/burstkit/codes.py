@@ -245,26 +245,36 @@ def code_to_dict(code, name: str = "", params: dict | None = None) -> dict:
 
 
 def code_from_dict(d: dict) -> CodeHandle:
+    if not isinstance(d, dict):
+        raise ValueError(f"a code file must hold a JSON object, not a {type(d).__name__}")
     if d.get("schema") != CODE_SCHEMA:
         raise ValueError(f"unsupported code schema: {d.get('schema')!r}")
-    ctx = field_from_dict(d["field"])
-    n = int(d["n"])
+    ctx = field_from_dict(_key(d, "field"))
+    n = int(_key(d, "n"))
     meta = d.get("meta", {})
-    if d["kind"] == "linear":
-        h = Mat.from_rows(ctx, _elements(ctx, "H", d["H"]), cols=n)
+    kind = _key(d, "kind")
+    if kind == "linear":
+        h = Mat.from_rows(ctx, _elements(ctx, "H", _key(d, "H")), cols=n)
         g = Mat.from_rows(ctx, _elements(ctx, "G", d["G"]), cols=n) if "G" in d else None
         code: LinearCode | ExplicitCode = LinearCode(ctx, n, h, g)
-    elif d["kind"] == "explicit":
-        code = ExplicitCode(ctx, n, tuple(map(tuple, _elements(ctx, "codeword", d["codewords"]))))
+    elif kind == "explicit":
+        code = ExplicitCode(ctx, n, tuple(map(tuple, _elements(ctx, "codeword", _key(d, "codewords")))))
     else:
-        raise ValueError(f"unknown code kind {d['kind']!r}")
+        raise ValueError(f"unknown code kind {kind!r}")
     return CodeHandle(code, name=meta.get("name", ""), params=meta.get("params", {}))
+
+
+def _key(d: dict, key: str):
+    if key not in d:
+        raise ValueError(f"code file has no {key!r} key")
+    return d[key]
 
 
 def _elements(ctx: FieldCtx, what: str, rows) -> list[list[Fe]]:
     """The rows of a code file, each entry checked to be an element index."""
-    rows = [list(row) for row in rows]
+    if not isinstance(rows, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rows):
+        raise ValueError(f"{what} entries must be given as a list of rows")
     for x in (x for row in rows for x in row):
         if not isinstance(x, int) or not 0 <= x < ctx.q:
             raise ValueError(f"{what} entry {x!r} is not an element of GF({ctx.q})")
-    return rows
+    return [list(row) for row in rows]

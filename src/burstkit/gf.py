@@ -287,6 +287,8 @@ def field_new(p: int, m: int) -> FieldCtx:
 
 
 def field_from_dict(d: dict) -> FieldCtx:
+    if not isinstance(d, dict) or not {"p", "m", "modulus"} <= d.keys():
+        raise ValueError("field must be an object with keys 'p', 'm' and 'modulus'")
     return FieldCtx(int(d["p"]), int(d["m"]), tuple(int(c) for c in d["modulus"]))
 
 
@@ -303,28 +305,3 @@ def field_from_order(q: int) -> FieldCtx:
                 raise ValueError(f"{q} is not a prime power")
             return FieldCtx(p, m)
     raise ValueError(f"{q} is not a prime power")
-
-
-def element_order(ctx: FieldCtx, x: Fe) -> int:
-    """Multiplicative order of a nonzero element."""
-    return ctx.order(x)
-
-
-def discrete_log_ratio(ctx: FieldCtx, a: Fe, b: Fe, base: Fe) -> int | None:
-    """The unique t in [0, order(base)) with b/a = base^t, or None.
-
-    None means b/a lies outside the cyclic group generated by base. A
-    linear scan over the powers of base is used; fields in scope are
-    small enough that nothing smarter is warranted.
-    """
-    if a == 0 or b == 0:
-        raise ValueError("discrete_log_ratio requires nonzero a and b")
-    if base == 0:
-        raise ValueError("the base of a discrete logarithm must be nonzero")
-    target = ctx.div(b, a)
-    cur = 1
-    for t in range(ctx.order(base)):
-        if cur == target:
-            return t
-        cur = ctx.mul(cur, base)
-    return None

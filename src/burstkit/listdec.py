@@ -125,8 +125,6 @@ def _decode_linear(code: LinearCode, y: Word, tau: int, space: BurstSpace, cap) 
             for j, v in zip(win, ew):
                 e[j] = v
             e = tuple(e)
-            if not is_burst(e, tau):
-                continue
             kept += 1
             c = _word_sub(ctx, y, e)
             if c not in found:

@@ -38,10 +38,6 @@ def poly_add(ctx: FieldCtx, a: Poly, b: Poly) -> Poly:
     return poly_trim(out)
 
 
-def poly_neg(ctx: FieldCtx, a: Poly) -> Poly:
-    return tuple(ctx.neg(c) for c in a)
-
-
 def poly_mul(ctx: FieldCtx, a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return ()
@@ -311,11 +307,6 @@ def solve_affine(a: Mat, b) -> tuple[list[Fe], list[list[Fe]]] | None:
     if a.rows != len(b):
         raise ValueError("right-hand side length does not match row count")
     aug_rows = [a.row(i) + [b[i]] for i in range(a.rows)]
-    if a.rows == 0:
-        # no constraints: the whole space solves
-        return [0] * a.cols, [
-            [1 if j == f else 0 for j in range(a.cols)] for f in range(a.cols)
-        ]
     aug = Mat.from_rows(a.ctx, aug_rows, cols=a.cols + 1)
     r, pivots = rref(aug)
     if a.cols in pivots:

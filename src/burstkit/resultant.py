@@ -214,26 +214,21 @@ def find_ratio_collision(inst: ResultantInstance) -> tuple[int, int, int] | None
 def find_kernel_relation(inst: ResultantInstance) -> RelationWitness | None:
     """A nonzero left-kernel vector of the stacked matrix, reassembled
     into the block polynomials u_i; None iff the matrix is nonsingular.
-    The returned relation is re-verified by polynomial arithmetic."""
+    The returned relation is re-verified by verify_relation."""
     a = stacked_matrix(inst)
     basis = left_null_space(a)
     if not basis:
         return None
     u = basis[0]
-    ctx = inst.ctx
     polys = []
     off = 0
     for m_i in inst.mu:
         polys.append(poly_trim(u[off : off + m_i]))
         off += m_i
-    total: Poly = ()
-    for i, u_i in enumerate(polys):
-        total = poly_add(ctx, total, poly_mul(ctx, u_i, root_run_poly(inst, i)))
-    if total != ():
-        raise AssertionError("left-kernel vector does not cancel the blocks")
-    if all(p == () for p in polys):
-        raise AssertionError("kernel basis produced the zero relation")
-    return RelationWitness(tuple(polys))
+    witness = RelationWitness(tuple(polys))
+    if not verify_relation(inst, witness):
+        raise AssertionError("left-kernel vector is not a nonzero relation")
+    return witness
 
 
 def verify_relation(inst: ResultantInstance, witness: RelationWitness) -> bool:

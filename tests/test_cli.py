@@ -206,12 +206,13 @@ def test_reproduce_rs_grid_small(capsys):
 
 
 def _rs7_file(tmp_path, edit):
+    """An RS GF(7) code file after edit, which changes the document in
+    place or returns the one to write instead."""
     path = tmp_path / "rs7.json"
     argv = ["construct", "--kind", "rs", "--q", "7", "--n", "6", "--r", "3"]
     assert main([*argv, "--output", str(path)]) == 0
     d = json.loads(path.read_text())
-    edit(d)
-    path.write_text(json.dumps(d))
+    path.write_text(json.dumps(edit(d) or d))
     return str(path)
 
 
@@ -246,3 +247,69 @@ def test_received_word_outside_the_field_is_a_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: received word [9, 0, 0, 0, 0, -3] has an entry outside GF(7)\n"
+
+
+def _without(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
+
+ROWS = "error: H entries must be given as a list of rows"
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda d: _without(d, "kind"), "error: code file has no 'kind' key"),
+        (lambda d: _without(d, "n"), "error: code file has no 'n' key"),
+        (lambda d: _without(d, "field"), "error: code file has no 'field' key"),
+        (lambda d: _without(d, "H"), "error: code file has no 'H' key"),
+        (
+            lambda d: {**d, "field": _without(d["field"], "m")},
+            "error: field must be an object with keys 'p', 'm' and 'modulus'",
+        ),
+        (lambda d: {**d, "H": 5}, ROWS),
+        (lambda d: {**d, "H": d["H"][0]}, ROWS),
+        (lambda d: [d], "error: a code file must hold a JSON object, not a list"),
+    ],
+    ids=["no-kind", "no-n", "no-field", "no-H", "field-no-m", "H-5", "H-flat-row", "list"],
+)
+def test_malformed_code_files_are_usage_errors(capsys, tmp_path, edit, message):
+    path = _rs7_file(tmp_path, edit)
+    assert main(["certify", "--code", path, "--tau", "2", "--ell", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message + "\n"
+
+
+def test_failed_witness_replay_is_an_internal_error(capsys, monkeypatch):
+    monkeypatch.setattr("burstkit.cli.replay_witness", lambda *a: False)
+    argv = ["certify", "--construct", "rs", "--q", "7", "--n", "6", "--r", "3", "--tau", "2", "--ell", "1"]
+    assert main(argv) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal invariant failed: emitted witness failed replay\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count-bursts", "--q", "2", "--n", "5", "--tau", "2"],
+        ["construct", "--kind", "ex1", "--q", "3"],
+        ["bounds", "--q", "3", "--n", "4", "--tau", "2", "--ell", "2", "--size", "4"],
+        ["resultant", "--q", "13", "--alpha", "2", "--mu", "2,2", "--beta", "1,3"],
+        ["reproduce", "example1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cap_is_rejected_where_no_cap_applies(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--cap", "5"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_decode_cap_exceeded_exit(capsys):
+    # every window of three columns of a rank-2 H has q^1 = 7 solutions
+    argv = ["decode", "--construct", "rs", "--q", "7", "--n", "6", "--r", "2", "--y", "0,0,0,0,0,0", "--tau", "3"]
+    assert main([*argv, "--cap", "7"]) == 0
+    assert main([*argv, "--cap", "6"]) == 4
+    assert capsys.readouterr().err == "cap exceeded: window solution set q^b needs 7 > cap 6\n"

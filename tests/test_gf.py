@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from burstkit import (
     FieldCtx,
-    discrete_log_ratio,
-    element_order,
     field_from_dict,
     field_from_order,
     field_new,
@@ -104,23 +102,11 @@ def test_reducible_modulus_rejected():
 
 def test_element_order_examples(fields):
     f7, f16 = fields[7], fields[16]
-    assert element_order(f7, 1) == 1
-    assert element_order(f7, 3) == oracle_order(3, 7) == 6
-    assert element_order(f16, f16.generator) == 15
+    assert f7.order(1) == 1
+    assert f7.order(3) == oracle_order(3, 7) == 6
+    assert f16.order(f16.generator) == 15
     with pytest.raises(ValueError):
-        element_order(f7, 0)
-
-
-def test_discrete_log_ratio_examples(fields):
-    f7 = fields[7]
-    assert discrete_log_ratio(f7, 5, 5, 3) == 0
-    assert discrete_log_ratio(f7, 1, 2, 3) == 2  # 3^2 = 2 (mod 7)
-    # powers of 2 mod 7 are {1, 2, 4}; 3 is outside that subgroup
-    assert discrete_log_ratio(f7, 1, 3, 2) is None
-    with pytest.raises(ValueError):
-        discrete_log_ratio(f7, 0, 1, 3)
-    with pytest.raises(ValueError):
-        discrete_log_ratio(f7, 1, 1, 0)
+        f7.order(0)
 
 
 def _all_small_fields():

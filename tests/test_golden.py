@@ -22,20 +22,49 @@ def certify_rs(q, n, r, tau, ell):
     return ["certify", "--construct", "rs", *(f"--{k}={v}" for k, v in flags.items())]
 
 
-# name -> (argv, exit code); "{ex7}" stands for the explicit RS GF(7) code file.
+def bounds(q, n, tau, ell, size):
+    flags = {"q": q, "n": n, "tau": tau, "ell": ell, "size": size}
+    return ["bounds", *(f"--{k}={v}" for k, v in flags.items())]
+
+
+# file name -> (argv, exit code); "{ex7}" stands for the explicit RS GF(7) code file.
 RUNS = {
-    "certify-rs16-r6": (certify_rs(16, 15, 6, 4, 2), 0),
-    "certify-rs16-r5": (certify_rs(16, 15, 5, 4, 2), 3),
-    "certify-rs13-r6": (certify_rs(13, 12, 6, 4, 2), 0),
-    "certify-rs13-r5": (certify_rs(13, 12, 5, 4, 2), 3),
-    "certify-ex7": (["certify", "--code", "{ex7}", "--tau", "2", "--ell", "2"], 0),
-    "refute-ex1-q5": (["certify", "--construct", "ex1", "--q", "5", "--tau", "2", "--ell", "1"], 3),
-    "refute-rs7-r3": (certify_rs(7, 6, 3, 2, 1), 3),
+    "certify-rs16-r6.json": (certify_rs(16, 15, 6, 4, 2), 0),
+    "certify-rs16-r5.json": (certify_rs(16, 15, 5, 4, 2), 3),
+    "certify-rs13-r6.json": (certify_rs(13, 12, 6, 4, 2), 0),
+    "certify-rs13-r5.json": (certify_rs(13, 12, 5, 4, 2), 3),
+    "certify-ex7.json": (["certify", "--code", "{ex7}", "--tau", "2", "--ell", "2"], 0),
+    "refute-ex1-q5.json": (["certify", "--construct", "ex1", "--q", "5", "--tau", "2", "--ell", "1"], 3),
+    "refute-rs7-r3.json": (certify_rs(7, 6, 3, 2, 1), 3),
     # the first witness burst starts at position 2, so no solve returns it as is
-    "refute-rs11-r3": (certify_rs(11, 10, 3, 2, 1), 3),
-    "reproduce-example1": (["reproduce", "example1"], 0),
-    "reproduce-example2": (["reproduce", "example2"], 0),
-    "reproduce-rs_grid": (["reproduce", "rs_grid"], 0),
+    "refute-rs11-r3.json": (certify_rs(11, 10, 3, 2, 1), 3),
+    "reproduce-example1.json": (["reproduce", "example1"], 0),
+    "reproduce-example2.json": (["reproduce", "example2"], 0),
+    "reproduce-rs_grid.json": (["reproduce", "rs_grid"], 0),
+    "reproduce-appendix_a.json": (["reproduce", "appendix_a", "--q", "2"], 0),
+    "reproduce-resultant_grid.csv": (
+        ["reproduce", "resultant_grid", "--count", "30", "--format", "csv"], 0
+    ),
+    # n = 2 ell and tau = ell, the only parameters where lemma_Mell applies
+    "bounds-q3-n4-all.json": (bounds(3, 4, 2, 2, 4), 0),
+    "bounds-q16-n15-all.json": (bounds(16, 15, 4, 2, 16**9), 0),
+    # 100 is not a power of 3, so reiger_linear is inapplicable
+    "bounds-q3-size100-all.json": (bounds(3, 8, 2, 2, 100), 0),
+    "bounds-q5-n12-ell3-all.json": (bounds(5, 12, 3, 3, 125), 0),
+    "bounds-lemma_Mell-n6.json": ([*bounds(3, 6, 2, 2, 4), "--bound", "lemma_Mell"], 0),
+    "count-bursts-phased.json": (["count-bursts", "--q", "4", "--n", "9", "--tau", "3", "--phased"], 0),
+    "construct-appxa.json": (["construct", "--kind", "appxa", "--q", "3", "--stars", "1,0,2,0,1,1"], 0),
+    "decode-rs8-phased.json": (
+        ["decode", "--construct", "rs", "--q", "8", "--n", "7", "--r", "3",
+         "--y", "0,0,0,5,1,0,3", "--tau", "3", "--ell", "2", "--phased"], 0
+    ),
+    "decode-ex7.json": (["decode", "--code", "{ex7}", "--y", "6,4,0,2,2,6", "--tau", "2", "--ell", "2"], 0),
+    "resultant-both.json": (
+        ["resultant", "--q", "13", "--alpha", "2", "--mu", "2,2", "--beta", "1,3", "--mode", "both"], 0
+    ),
+    "resultant-witness.json": (
+        ["resultant", "--q", "13", "--alpha", "2", "--mu", "1,1", "--beta", "5,5", "--witness"], 0
+    ),
 }
 
 
@@ -54,4 +83,4 @@ def test_reports_match_golden(capsys, monkeypatch, ex7_path, numpy_blocked):
     for name, (argv, exit_code) in RUNS.items():
         capsys.readouterr()
         assert cli.main([ex7_path if a == "{ex7}" else a for a in argv]) == exit_code, name
-        assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text(), name
+        assert capsys.readouterr().out == (GOLDEN / name).read_text(), name
