@@ -2,7 +2,8 @@
 
 Every exhaustive scan in the library is guarded by an explicit cap and
 fails hard with CapExceeded; there is no silent truncation. Defaults can
-be overridden per call or through environment variables:
+be overridden per call or through environment variables, whose values
+parse() requires to be non-negative integers:
 
     BURSTKIT_CAP_ENUM       words / pairs visited by an exhaustive scan
     BURSTKIT_CAP_SOLUTIONS  affine solution sets enumerated per window
@@ -28,9 +29,16 @@ class CapExceeded(RuntimeError):
         self.cap = cap
 
 
+def parse(name: str, raw: str) -> int:
+    """The cap that the flag or variable name gives as text."""
+    if not raw.strip().isdecimal():
+        raise ValueError(f"{name} must be a non-negative integer, got {raw!r}")
+    return int(raw)
+
+
 def _env(name: str, default: int) -> int:
     raw = os.environ.get(name)
-    return default if raw is None else int(raw)
+    return default if raw is None else parse(name, raw)
 
 
 def enum_cap(override: int | None = None) -> int:

@@ -60,6 +60,9 @@ def _inapplicable(bound_id: str, inputs: dict) -> BoundVerdict:
 
 
 def _inputs(q, n, tau, ell, size, hypotheses=None) -> dict:
+    """A verdict's inputs, which every bound builds before any arithmetic."""
+    if q < 2:
+        raise ValueError(f"the alphabet size q must be at least 2, got {q}")
     inputs = {"q": q, "n": n, "tau": tau, "ell": ell, "size": size}
     if hypotheses is not None:
         inputs["hypotheses"] = hypotheses

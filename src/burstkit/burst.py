@@ -57,6 +57,12 @@ class BurstSpace:
             ]
         return [range(s, s + self.tau) for s in range(self.n - self.tau + 1)]
 
+    def count(self, q: int) -> int:
+        """The exact number of bursts in the space over an alphabet of size q."""
+        if self.phased:
+            return 1 + sum(q ** len(win) - 1 for win in self.windows)
+        return count_bursts(q, self.n, self.tau)
+
 
 @dataclass(frozen=True)
 class BurstPattern:
@@ -151,5 +157,4 @@ def count_bursts(q: int, n: int, tau: int):
 
 def count_bursts_phased(q: int, n: int, tau: int):
     """Exact number of bursts whose support fits one aligned window."""
-    space = BurstSpace(n, tau, phased=True)
-    return 1 + sum(q ** len(win) - 1 for win in space.windows)
+    return BurstSpace(n, tau, phased=True).count(q)

@@ -19,9 +19,9 @@ import json
 import random
 import sys
 
-from . import bounds as bounds_mod
+from . import _caps, bounds as bounds_mod
 from ._caps import CapExceeded
-from .burst import count_bursts, count_bursts_phased
+from .burst import BurstSpace
 from .codes import (
     CodeHandle,
     appendix_a_code,
@@ -124,6 +124,8 @@ def _csv_ints(text: str) -> list[int]:
 
 
 def _build_construct(args) -> CodeHandle:
+    if args.q is None:
+        raise ValueError("a construction needs --q")
     ctx = field_from_order(args.q)
     kind = args.construct
     if kind == "rs":
@@ -155,10 +157,7 @@ def _load_code(args) -> CodeHandle:
 # -- subcommands --------------------------------------------------------
 
 def cmd_count_bursts(args) -> int:
-    if args.phased:
-        count = count_bursts_phased(args.q, args.n, args.tau)
-    else:
-        count = count_bursts(args.q, args.n, args.tau)
+    count = BurstSpace(args.n, args.tau, args.phased).count(args.q)
     cfg = {"q": args.q, "n": args.n, "tau": args.tau, "phased": args.phased}
     _emit(_report("count-bursts", cfg, {"count": str(count)}), args)
     return EXIT_OK
@@ -415,8 +414,8 @@ def cmd_reproduce(args) -> int:
 def _add_common(p: argparse.ArgumentParser, cap: bool = False) -> None:
     p.add_argument("--output", help="write the JSON report to this path")
     if cap:
-        p.add_argument("--cap", type=int, help="one value for every enumeration cap the "
-                       "command applies, in place of BURSTKIT_CAP_* and the defaults")
+        p.add_argument("--cap", help="one value for every enumeration cap the command "
+                       "applies, in place of BURSTKIT_CAP_* and the defaults")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -519,6 +518,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "cap", None) is not None:
+            args.cap = _caps.parse("--cap", args.cap)
         return args.func(args)
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)

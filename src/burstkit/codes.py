@@ -187,8 +187,8 @@ def example_code_1(ctx: FieldCtx) -> ExplicitCode:
 
 def example_code_2(ctx: FieldCtx, delta: Fe) -> ExplicitCode:
     """Length-4 code of size 2q: words (a 0 0 a) and (a d d a), a in F."""
-    if delta == 0:
-        raise ValueError("delta must be nonzero (the two families collide)")
+    if not 0 < delta < ctx.q:
+        raise ValueError(f"delta must be a nonzero element of GF({ctx.q}), got {delta}")
     words = []
     for a in ctx.elements():
         words.append((a, 0, 0, a))
@@ -250,8 +250,9 @@ def code_from_dict(d: dict) -> CodeHandle:
     if d.get("schema") != CODE_SCHEMA:
         raise ValueError(f"unsupported code schema: {d.get('schema')!r}")
     ctx = field_from_dict(_key(d, "field"))
-    n = int(_key(d, "n"))
-    meta = d.get("meta", {})
+    n, meta = _key(d, "n"), d.get("meta", {})
+    if not isinstance(n, int) or not isinstance(meta, dict):
+        raise ValueError("code file 'n' must be an integer and 'meta' an object")
     kind = _key(d, "kind")
     if kind == "linear":
         h = Mat.from_rows(ctx, _elements(ctx, "H", _key(d, "H")), cols=n)

@@ -26,19 +26,6 @@ Fe = int  # canonical element index in [0, q)
 MAX_FIELD_SIZE = 1 << 20
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def _prime_factors(n: int) -> list[int]:
     out = []
     f = 2
@@ -130,7 +117,7 @@ class FieldCtx:
     __slots__ = ("p", "m", "q", "modulus", "generator", "_exp", "_log", "_neg_one")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...] | None = None):
-        if not _is_prime(p):
+        if p < 2 or any(p % f == 0 for f in range(2, math.isqrt(p) + 1)):
             raise ValueError(f"characteristic {p} is not prime")
         if m < 1:
             raise ValueError(f"extension degree must be >= 1, got {m}")
@@ -289,19 +276,20 @@ def field_new(p: int, m: int) -> FieldCtx:
 def field_from_dict(d: dict) -> FieldCtx:
     if not isinstance(d, dict) or not {"p", "m", "modulus"} <= d.keys():
         raise ValueError("field must be an object with keys 'p', 'm' and 'modulus'")
-    return FieldCtx(int(d["p"]), int(d["m"]), tuple(int(c) for c in d["modulus"]))
+    p, m, modulus = d["p"], d["m"], d["modulus"]
+    if not (isinstance(modulus, list) and all(isinstance(x, int) for x in (p, m, *modulus))):
+        raise ValueError("field 'p' and 'm' must be integers and 'modulus' a list of integers")
+    return FieldCtx(p, m, tuple(modulus))
 
 
 def field_from_order(q: int) -> FieldCtx:
     """Build the field of size q, factoring q as a prime power."""
-    for p in range(2, q + 1):
-        if q % p == 0:
-            m = 0
-            v = q
-            while v % p == 0:
-                v //= p
-                m += 1
-            if v != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return FieldCtx(p, m)
-    raise ValueError(f"{q} is not a prime power")
+    if q > MAX_FIELD_SIZE:
+        raise ValueError(f"field size {q} exceeds the cap {MAX_FIELD_SIZE}")
+    factors = _prime_factors(q)
+    if len(factors) != 1:
+        raise ValueError(f"{q} is not a prime power")
+    p, m = factors[0], 1
+    while p**m < q:
+        m += 1
+    return FieldCtx(p, m)

@@ -9,14 +9,16 @@ the linear path buckets every tau-burst by syndrome and reads the
 largest bucket, the explicit path buckets codeword+burst sums; the two
 paths compute the same maximum and are cross-checked in the tests.
 
-The syndrome scan emits one integer key per burst, in enumeration
-order, and counts the keys. It runs as one numpy kernel when numpy is
-importable; the pure-Python key stream, span by span in the same order
-with the same keys, is its fallback and the reference the tests compare
-it against. The scan only counts: the refutation witness comes from
-decode, run on the worst word y (a word whose syndrome is the smallest
-key of the largest bucket, or the smallest word of the largest sum
-bucket).
+The syndrome scan stores a syndrome in one layout, r*m base-p digit
+lanes (lane m*i + k holds digit k of row i), and counts the syndromes
+of all bursts in enumeration order. It runs as one numpy kernel when
+numpy is importable, with one int64 key sum(digit * p^lane) per burst;
+the pure-Python scan packs the same lanes into one Python int, adds
+them lane-wise mod p, and is the fallback and the reference the tests
+compare the kernel against. The scan only counts: the refutation
+witness comes from decode, run on the worst word y (a word whose
+syndrome is the smallest key of the largest bucket, or the smallest
+word of the largest sum bucket).
 
 Detection is tested window by window: a nonzero tau-burst difference of
 two codewords lies inside some window of tau consecutive positions.
@@ -34,8 +36,6 @@ from .burst import (
     BurstSpace,
     Word,
     anchored_spans,
-    count_bursts,
-    count_bursts_phased,
     enumerate_bursts,
     is_burst,
 )
@@ -119,17 +119,13 @@ def _decode_linear(code: LinearCode, y: Word, tau: int, space: BurstSpace, cap) 
             continue
         particular, basis = sol
         _caps.check("window solution set q^b", ctx.q ** len(basis), limit)
-        kept = 0
-        for ew in span_members(ctx, particular, basis):
-            e = [0] * code.n
-            for j, v in zip(win, ew):
-                e[j] = v
-            e = tuple(e)
-            kept += 1
+        members = span_members(ctx, particular, basis)
+        for ew in members:
+            e = (0,) * win.start + ew + (0,) * (code.n - win.stop)
             c = _word_sub(ctx, y, e)
             if c not in found:
                 found[c] = BurstPattern.from_word(e, tau)
-        stats[win.start] = kept
+        stats[win.start] = len(members)
     candidates = sorted(found.items())
     return ListDecodeResult(candidates, stats)
 
@@ -184,56 +180,58 @@ def detects_single_burst(code, tau: int, cap: int | None = None) -> bool:
 
 # -- certification -------------------------------------------------------
 
-def _syndrome_ops(code: LinearCode):
-    """Per-field encoding of syndrome vectors for the pure-Python scan.
+def _packing(p: int, lanes: int):
+    """(w, add, key) for syndromes packed as the digit lanes of
+    _syndrome_keys at w bits per lane. For p = 2, w = 1 and add is XOR;
+    otherwise w is the least with p <= 2^(w-1), so adding 2^(w-1) - p to
+    a lane sum (at most 2p - 2) sets its bit w-1, without spilling into
+    the next lane, iff the sum reached p. key(s) is sum(digit * p^lane),
+    and packed order is key order: both compare the top lane first."""
+    w = 1 if p == 2 else (p - 1).bit_length() + 1
+    ones = sum(1 << (w * lane) for lane in range(lanes))
+    carry = ones * ((1 << (w - 1)) - p)
 
-    Returns (zero, scaled, combine, key): scaled[j][d] is d times column
-    j of H, combine adds two encoded syndromes and key(a, b) is the
-    integer key sum(s_i * q^i) of their sum s. Characteristic-2 fields
-    pack the whole vector into one int, which is already its key, so
-    both are XOR; every odd field keeps a tuple of elements.
-    """
+    def add(a: int, b: int) -> int:
+        s = a + b
+        return s - ((s + carry) >> (w - 1) & ones) * p
+
+    def key(s: int) -> int:
+        return sum((s >> (w * lane) & (1 << w) - 1) * p**lane for lane in range(lanes))
+
+    return w, operator.xor if p == 2 else add, key
+
+
+def _pure_syndromes(code: LinearCode, spans):
+    """The packed syndrome of every burst in enumeration order: [0] for
+    the zero burst, then per anchored span the outer sum of its column
+    tables, from the last column back as in _syndrome_keys; the first
+    column takes nonzero digits only."""
     ctx = code.ctx
-    r, n, q = code.r, code.n, ctx.q
-    cols = [[[ctx.mul(d, code.H.at(i, j)) for i in range(r)] for d in range(q)] for j in range(n)]
-    if ctx.p == 2:
-        scaled = [[sum(x << (ctx.m * i) for i, x in enumerate(v)) for v in col] for col in cols]
-        return 0, scaled, operator.xor, operator.xor
-    add = ctx.add
-    place = [q**i for i in range(r)]
-    return (
-        (0,) * r,
-        [[tuple(v) for v in col] for col in cols],
-        lambda a, b: tuple(map(add, a, b)),
-        lambda a, b: sum(map(operator.mul, map(add, a, b), place)),
-    )
-
-
-def _pure_keys(code: LinearCode, spans):
-    """The syndrome key of every burst, in enumeration order: the zero
-    burst first, then one list per anchored span.
-
-    A span's list is the outer sum of its column tables, built from the
-    last column back as in _syndrome_keys; the first column takes
-    nonzero digits only.
-    """
-    zero, scaled, combine, key = _syndrome_ops(code)
-    yield [0]  # the zero syndrome has key 0 in both encodings
+    p, m, r = ctx.p, ctx.m, code.r
+    w, add, _ = _packing(p, r * m)
+    spread = [sum(x // p**k % p << (w * k) for k in range(m)) for x in range(ctx.q)]
+    tabs = [
+        [sum(spread[ctx.mul(d, code.H.at(i, j))] << (w * m * i) for i in range(r)) for d in range(ctx.q)]
+        for j in range(code.n)
+    ]
+    yield [0]
     for start, width in spans:
-        acc = [zero]
-        for tab in reversed(scaled[start + 1 : start + width]):
-            acc = [combine(t, a) for t in tab for a in acc]
-        yield [key(t, a) for t in scaled[start][1:] for a in acc]
+        acc = [0]
+        for tab in reversed(tabs[start + 1 : start + width]):
+            acc = [add(t, a) for t in tab for a in acc]
+        yield [add(t, a) for t in tabs[start][1:] for a in acc]
 
 
 def _scan_pure(code: LinearCode, spans):
-    """The pure-Python scan: (bursts, buckets, max bucket, its smallest key)."""
+    """The pure-Python scan: (bursts, buckets, max bucket, its smallest
+    key). It counts packed syndromes and converts only the winner."""
     buckets: Counter[int] = Counter()
-    for keys in _pure_keys(code, spans):
-        buckets.update(keys)
+    for syndromes in _pure_syndromes(code, spans):
+        buckets.update(syndromes)
     max_count = max(buckets.values())
-    key = min(k for k, v in buckets.items() if v == max_count)
-    return sum(buckets.values()), len(buckets), max_count, key
+    best = min(s for s, v in buckets.items() if v == max_count)
+    key = _packing(code.ctx.p, code.r * code.ctx.m)[2]
+    return sum(buckets.values()), len(buckets), max_count, key(best)
 
 
 # Payload-grid rows per numpy block: a block holds CHUNK_ROWS * r * m
@@ -264,7 +262,7 @@ def _syndrome_keys(np, code: LinearCode, spans):
     field. The payload grid of a span, in lex order, is the outer sum of
     head rows (gathered from the per-column tables of d*h_j) and a tail
     grid over the last columns, built once per span. The key
-    sum(digit * p^lane) is the integer _pure_keys gives.
+    sum(digit * p^lane) is the key of the syndrome _pure_syndromes packs.
     """
     ctx = code.ctx
     p, m, q, r = ctx.p, ctx.m, ctx.q, code.r
@@ -312,13 +310,6 @@ def _syndrome_keys(np, code: LinearCode, spans):
     return keys
 
 
-def _count(q: int, space: BurstSpace) -> int:
-    """The closed-form number of bursts in the space."""
-    if space.phased:
-        return count_bursts_phased(q, space.n, space.tau)
-    return count_bursts(q, space.n, space.tau)
-
-
 def max_list_size(
     code,
     tau: int,
@@ -338,7 +329,7 @@ def max_list_size(
     ctx = code.ctx
     space = BurstSpace(code.n, tau, phased)
     limit = _caps.enum_cap(cap)
-    n_bursts = _count(ctx.q, space)
+    n_bursts = space.count(ctx.q)
     linear = isinstance(code, LinearCode)
     if linear:
         _caps.check("burst bucketing q^tau * n", ctx.q**tau * code.n, limit)

@@ -58,6 +58,9 @@ class ResultantInstance:
             raise ValueError("mu and beta must have the same length")
         if any(m < 1 for m in self.mu):
             raise ValueError("block sizes must be positive")
+        for name, x in (("alpha", self.alpha), *(("beta entry", b) for b in self.beta)):
+            if not 0 <= x < self.ctx.q:
+                raise ValueError(f"{name} {x} is not an element of GF({self.ctx.q})")
         if any(b == 0 for b in self.beta):
             raise ValueError("beta entries must be nonzero")
         if self.alpha == 0 or self.ctx.order(self.alpha) < self.r:

@@ -254,6 +254,8 @@ def _without(d, key):
 
 
 ROWS = "error: H entries must be given as a list of rows"
+SCALARS = "error: code file 'n' must be an integer and 'meta' an object"
+FIELD_SCALARS = "error: field 'p' and 'm' must be integers and 'modulus' a list of integers"
 
 
 @pytest.mark.parametrize(
@@ -270,8 +272,15 @@ ROWS = "error: H entries must be given as a list of rows"
         (lambda d: {**d, "H": 5}, ROWS),
         (lambda d: {**d, "H": d["H"][0]}, ROWS),
         (lambda d: [d], "error: a code file must hold a JSON object, not a list"),
+        (lambda d: {**d, "meta": 5}, SCALARS),
+        (lambda d: {**d, "n": None}, SCALARS),
+        (lambda d: {**d, "field": {**d["field"], "p": None}}, FIELD_SCALARS),
+        (lambda d: {**d, "field": {**d["field"], "modulus": 5}}, FIELD_SCALARS),
     ],
-    ids=["no-kind", "no-n", "no-field", "no-H", "field-no-m", "H-5", "H-flat-row", "list"],
+    ids=[
+        "no-kind", "no-n", "no-field", "no-H", "field-no-m", "H-5", "H-flat-row", "list",
+        "meta-5", "n-null", "field-p-null", "field-modulus-5",
+    ],
 )
 def test_malformed_code_files_are_usage_errors(capsys, tmp_path, edit, message):
     path = _rs7_file(tmp_path, edit)
@@ -313,3 +322,55 @@ def test_decode_cap_exceeded_exit(capsys):
     assert main([*argv, "--cap", "7"]) == 0
     assert main([*argv, "--cap", "6"]) == 4
     assert capsys.readouterr().err == "cap exceeded: window solution set q^b needs 7 > cap 6\n"
+
+
+RS7 = ["--construct", "rs", "--q", "7", "--n", "6", "--r", "2"]
+NON_NEGATIVE = "--cap must be a non-negative integer, got "
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["certify", *RS7, "--tau", "2", "--ell", "1", "--cap", "-1"], NON_NEGATIVE + "'-1'"),
+        (["decode", *RS7, "--y", "0,0,0,0,0,0", "--tau", "2", "--cap", "abc"], NON_NEGATIVE + "'abc'"),
+        (
+            ["resultant", "--q", "13", "--alpha", "99", "--mu", "2,2", "--beta", "1,3"],
+            "alpha 99 is not an element of GF(13)",
+        ),
+        (
+            ["resultant", "--q", "13", "--alpha", "-2", "--mu", "2,2", "--beta", "1,3"],
+            "alpha -2 is not an element of GF(13)",
+        ),
+        (
+            ["resultant", "--q", "13", "--alpha", "2", "--mu", "2,2", "--beta", "1,-3"],
+            "beta entry -3 is not an element of GF(13)",
+        ),
+        (
+            ["construct", "--kind", "ex2", "--q", "3", "--delta", "5"],
+            "delta must be a nonzero element of GF(3), got 5",
+        ),
+        (
+            ["bounds", "--q", "1", "--n", "4", "--tau", "2", "--ell", "2", "--size", "4"],
+            "the alphabet size q must be at least 2, got 1",
+        ),
+        (["count-bursts", "--q", "3", "--n", "4", "--tau", "0"], "tau must satisfy 1 <= tau <= 4, got 0"),
+        (["certify", "--construct", "ex1", "--tau", "2", "--ell", "1"], "a construction needs --q"),
+    ],
+    ids=[
+        "cap-negative", "cap-text", "alpha-99", "alpha-minus-2", "beta-minus-3", "delta-5",
+        "bounds-q1", "tau-0", "no-q",
+    ],
+)
+def test_out_of_range_flags_are_usage_errors(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("raw", ["-5", "abc"])
+def test_cap_variable_must_be_a_non_negative_integer(capsys, monkeypatch, raw):
+    monkeypatch.setenv("BURSTKIT_CAP_ENUM", raw)
+    assert main(["certify", *RS7, "--tau", "2", "--ell", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: BURSTKIT_CAP_ENUM must be a non-negative integer, got {raw!r}\n"

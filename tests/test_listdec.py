@@ -417,5 +417,34 @@ def test_chunked_scan_matches_pure_buckets(fields, monkeypatch, rows):
         space = BurstSpace(code.n, tau, phased)
         spans = list(anchored_spans(space))
         keys = listdec._syndrome_keys(np, code, spans)
-        assert keys.tolist() == list(itertools.chain.from_iterable(listdec._pure_keys(code, spans)))
+        key = listdec._packing(code.ctx.p, code.r * code.ctx.m)[2]
+        pure = itertools.chain.from_iterable(listdec._pure_syndromes(code, spans))
+        assert keys.tolist() == list(map(key, pure))
         assert listdec._scan_numpy(code, spans) == listdec._scan_pure(code, spans)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 1009])
+def test_packed_add_is_digitwise_addition_mod_p(p):
+    """Every pair of two-lane digit vectors for small p, 2000 random pairs
+    of six-lane vectors for p = 1009, and lanes exactly as wide as the
+    carry flag needs."""
+    lanes = 2 if p < 100 else 6
+    w, add, key = listdec._packing(p, lanes)
+    if p == 2:
+        assert w == 1
+    else:
+        assert 2 ** (w - 2) < p <= 2 ** (w - 1)
+    if p < 100:
+        pairs = itertools.product(itertools.product(range(p), repeat=lanes), repeat=2)
+    else:
+        rng = random.Random(p)
+        draw = lambda: [rng.choice((0, 1, p // 2, p - 1, rng.randrange(p))) for _ in range(lanes)]
+        pairs = [(draw(), draw()) for _ in range(2000)]
+
+    def pack(digits):
+        return sum(d << (w * lane) for lane, d in enumerate(digits))
+
+    for a, b in pairs:
+        total = [(x + y) % p for x, y in zip(a, b)]
+        assert add(pack(a), pack(b)) == pack(total)
+        assert key(pack(total)) == sum(d * p**lane for lane, d in enumerate(total))
