@@ -17,7 +17,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 
-from .burst import count_bursts
+from .burst import check_alphabet, count_bursts
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,7 @@ def _inapplicable(bound_id: str, inputs: dict) -> BoundVerdict:
 
 def _inputs(q, n, tau, ell, size, hypotheses=None) -> dict:
     """A verdict's inputs, which every bound builds before any arithmetic."""
-    if q < 2:
-        raise ValueError(f"the alphabet size q must be at least 2, got {q}")
+    check_alphabet(q)
     inputs = {"q": q, "n": n, "tau": tau, "ell": ell, "size": size}
     if hypotheses is not None:
         inputs["hypotheses"] = hypotheses

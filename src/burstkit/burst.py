@@ -18,6 +18,12 @@ from .gf import Fe, FieldCtx
 Word = tuple[Fe, ...]
 
 
+def check_alphabet(q: int) -> None:
+    """Refuse an alphabet of fewer than two symbols."""
+    if q < 2:
+        raise ValueError(f"the alphabet size q must be at least 2, got {q}")
+
+
 def is_burst(w, tau: int) -> bool:
     """True iff w is zero or its nonzero span is shorter than tau."""
     n = len(w)
@@ -59,9 +65,10 @@ class BurstSpace:
 
     def count(self, q: int) -> int:
         """The exact number of bursts in the space over an alphabet of size q."""
-        if self.phased:
-            return 1 + sum(q ** len(win) - 1 for win in self.windows)
-        return count_bursts(q, self.n, self.tau)
+        if not self.phased:
+            return count_bursts(q, self.n, self.tau)
+        check_alphabet(q)
+        return 1 + sum(q ** len(win) - 1 for win in self.windows)
 
 
 @dataclass(frozen=True)
@@ -148,6 +155,7 @@ def count_bursts(q: int, n: int, tau: int):
     exact integer arithmetic. For tau >= 1 this equals the size of the
     exhaustive enumeration.
     """
+    check_alphabet(q)
     if tau < 0 or tau > n:
         raise ValueError(f"tau must satisfy 0 <= tau <= {n}, got {tau}")
     total = 1 + (q - 1) * n

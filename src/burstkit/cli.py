@@ -423,6 +423,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="burstkit", description="burst list decoding certification toolkit"
     )
     sub = top.add_subparsers(dest="subcommand", required=True)
+    # where decode and certify take their code from
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--code", help="code file (JSON)")
+    source.add_argument("--construct", choices=["rs", "ex1", "ex2", "appxa"])
+    for flag in ("--q", "--n", "--r", "--delta"):
+        source.add_argument(flag, type=int)
+    source.add_argument("--stars")
 
     p = sub.add_parser("count-bursts", help="closed-form burst count")
     p.add_argument("--q", type=int, required=True)
@@ -442,14 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("decode", help="complete list decoding of one word")
-    p.add_argument("--code", help="code file (JSON)")
-    p.add_argument("--construct", choices=["rs", "ex1", "ex2", "appxa"])
-    p.add_argument("--q", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--delta", type=int)
-    p.add_argument("--stars")
+    p = sub.add_parser("decode", parents=[source], help="complete list decoding of one word")
     p.add_argument("--y", required=True, help="received word, comma-separated indices")
     p.add_argument("--tau", type=int, required=True)
     p.add_argument("--ell", type=int)
@@ -457,14 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, cap=True)
     p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("certify", help="detection + list-size certification")
-    p.add_argument("--code", help="code file (JSON)")
-    p.add_argument("--construct", choices=["rs", "ex1", "ex2", "appxa"])
-    p.add_argument("--q", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--delta", type=int)
-    p.add_argument("--stars")
+    p = sub.add_parser("certify", parents=[source], help="detection + list-size certification")
     p.add_argument("--tau", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
     _add_common(p, cap=True)

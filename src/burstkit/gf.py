@@ -117,13 +117,15 @@ class FieldCtx:
     __slots__ = ("p", "m", "q", "modulus", "generator", "_exp", "_log", "_neg_one")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...] | None = None):
-        if p < 2 or any(p % f == 0 for f in range(2, math.isqrt(p) + 1)):
-            raise ValueError(f"characteristic {p} is not prime")
         if m < 1:
             raise ValueError(f"extension degree must be >= 1, got {m}")
+        # q >= 2^m, so the cap refuses a large m before p^m is computed,
+        # and a large q before p is factored
+        if p >= 2 and (m >= MAX_FIELD_SIZE.bit_length() or p**m > MAX_FIELD_SIZE):
+            raise ValueError(f"field size {p}^{m} exceeds the cap {MAX_FIELD_SIZE}")
+        if p < 2 or any(p % f == 0 for f in range(2, math.isqrt(p) + 1)):
+            raise ValueError(f"characteristic {p} is not prime")
         q = p ** m
-        if q > MAX_FIELD_SIZE:
-            raise ValueError(f"field size {q} exceeds the cap {MAX_FIELD_SIZE}")
         self.p = p
         self.m = m
         self.q = q

@@ -9,13 +9,12 @@ the linear path buckets every tau-burst by syndrome and reads the
 largest bucket, the explicit path buckets codeword+burst sums; the two
 paths compute the same maximum and are cross-checked in the tests.
 
-The syndrome scan stores a syndrome in one layout, r*m base-p digit
-lanes (lane m*i + k holds digit k of row i), and counts the syndromes
-of all bursts in enumeration order. It runs as one numpy kernel when
-numpy is importable, with one int64 key sum(digit * p^lane) per burst;
-the pure-Python scan packs the same lanes into one Python int, adds
-them lane-wise mod p, and is the fallback and the reference the tests
-compare the kernel against. The scan only counts: the refutation
+The syndrome scan packs a syndrome's r*m base-p digit lanes (lane m*i
++ k holds digit k of row i) into integers, adds them lane-wise mod p,
+and counts the syndromes of all bursts in enumeration order. The
+pure-Python scan holds each syndrome in one int and is the fallback and
+the reference the tests compare against; when numpy is importable the
+same recursion runs on int64 words. The scan only counts: the refutation
 witness comes from decode, run on the worst word y (a word whose
 syndrome is the smallest key of the largest bucket, or the smallest
 word of the largest sum bucket).
@@ -181,17 +180,18 @@ def detects_single_burst(code, tau: int, cap: int | None = None) -> bool:
 # -- certification -------------------------------------------------------
 
 def _packing(p: int, lanes: int):
-    """(w, add, key) for syndromes packed as the digit lanes of
-    _syndrome_keys at w bits per lane. For p = 2, w = 1 and add is XOR;
-    otherwise w is the least with p <= 2^(w-1), so adding 2^(w-1) - p to
-    a lane sum (at most 2p - 2) sets its bit w-1, without spilling into
-    the next lane, iff the sum reached p. key(s) is sum(digit * p^lane),
-    and packed order is key order: both compare the top lane first."""
+    """(w, add, key) for syndromes whose base-p digit lanes are packed at
+    w bits per lane. For p = 2, w = 1 and add is XOR; otherwise w is the
+    least with p <= 2^(w-1), so adding 2^(w-1) - p to a lane sum (at most
+    2p - 2) sets its bit w-1, without spilling into the next lane, iff
+    the sum reached p. add takes Python ints, and int64 arrays when
+    lanes <= 63 // w. key(s) is sum(digit * p^lane), and packed order is
+    key order: both compare the top lane first."""
     w = 1 if p == 2 else (p - 1).bit_length() + 1
     ones = sum(1 << (w * lane) for lane in range(lanes))
     carry = ones * ((1 << (w - 1)) - p)
 
-    def add(a: int, b: int) -> int:
+    def add(a, b):
         s = a + b
         return s - ((s + carry) >> (w - 1) & ones) * p
 
@@ -201,19 +201,25 @@ def _packing(p: int, lanes: int):
     return w, operator.xor if p == 2 else add, key
 
 
+def _column_tables(code: LinearCode, w: int):
+    """tabs[j][d]: the syndrome of digit d at position j, as r*m base-p
+    digit lanes (lane m*i + k holds digit k of row i) at w bits each."""
+    ctx = code.ctx
+    p, m = ctx.p, ctx.m
+    spread = [sum(x // p**k % p << (w * k) for k in range(m)) for x in range(ctx.q)]
+    return [
+        [sum(spread[ctx.mul(d, code.H.at(i, j))] << (w * m * i) for i in range(code.r)) for d in range(ctx.q)]
+        for j in range(code.n)
+    ]
+
+
 def _pure_syndromes(code: LinearCode, spans):
     """The packed syndrome of every burst in enumeration order: [0] for
     the zero burst, then per anchored span the outer sum of its column
-    tables, from the last column back as in _syndrome_keys; the first
-    column takes nonzero digits only."""
-    ctx = code.ctx
-    p, m, r = ctx.p, ctx.m, code.r
-    w, add, _ = _packing(p, r * m)
-    spread = [sum(x // p**k % p << (w * k) for k in range(m)) for x in range(ctx.q)]
-    tabs = [
-        [sum(spread[ctx.mul(d, code.H.at(i, j))] << (w * m * i) for i in range(r)) for d in range(ctx.q)]
-        for j in range(code.n)
-    ]
+    tables, from the last column back; the first column takes nonzero
+    digits only."""
+    w, add, _ = _packing(code.ctx.p, code.r * code.ctx.m)
+    tabs = _column_tables(code, w)
     yield [0]
     for start, width in spans:
         acc = [0]
@@ -234,80 +240,51 @@ def _scan_pure(code: LinearCode, spans):
     return sum(buckets.values()), len(buckets), max_count, key(best)
 
 
-# Payload-grid rows per numpy block: a block holds CHUNK_ROWS * r * m
-# syndrome digits, which bounds the working memory of one step.
-CHUNK_ROWS = 1 << 16
-
-
 def _scan_numpy(code: LinearCode, spans):
-    """The same result as _scan_pure from one vectorized pass; None when
-    numpy is missing or a key would not fit in int64."""
-    if code.ctx.q**code.r >= 1 << 63:
+    """The same result as _scan_pure from _pure_syndromes' recursion on
+    int64 arrays; None when numpy is missing or a key would not fit in
+    int64.
+
+    The packed lanes are split into k words of 63 // w lanes. For k = 1
+    the word sorts as the key does and only the winner is converted; for
+    k > 1 each span's grid is turned into the key sum(digit * p^lane)
+    before it is stored.
+    """
+    ctx = code.ctx
+    if ctx.q**code.r >= 1 << 63:
         return None
     try:
         import numpy as np
     except ImportError:
         return None
-    keys = _syndrome_keys(np, code, spans)
-    uniq, counts = np.unique(keys, return_counts=True)
-    best = np.argmax(counts)  # uniq is sorted: the smallest key of the largest bucket
-    return keys.size, uniq.size, int(counts[best]), int(uniq[best])
-
-
-def _syndrome_keys(np, code: LinearCode, spans):
-    """The syndrome key of every burst, in enumeration order.
-
-    A syndrome is stored as r*m base-p digits (lane m*i + k is digit k
-    of row i), so field addition is lane-wise addition mod p in every
-    field. The payload grid of a span, in lex order, is the outer sum of
-    head rows (gathered from the per-column tables of d*h_j) and a tail
-    grid over the last columns, built once per span. The key
-    sum(digit * p^lane) is the key of the syndrome _pure_syndromes packs.
-    """
-    ctx = code.ctx
-    p, m, q, r = ctx.p, ctx.m, ctx.q, code.r
-    lanes = r * m
-    dt = np.min_scalar_type(2 * (p - 1))
-    place = p ** np.arange(m)
-    tabs = []  # tabs[j][lane, d]: the digits of d * h_j
-    for j in range(code.n):
-        prods = np.array(
-            [[ctx.mul(d, code.H.at(i, j)) for d in range(q)] for i in range(r)], dtype=np.int64
-        ).reshape(r, q)
-        tabs.append((prods[:, None, :] // place[:, None] % p).reshape(lanes, q).astype(dt))
-
-    keys = np.empty(1 + sum((q - 1) * q ** (w - 1) for _, w in spans), dtype=np.int64)
+    p, lanes = ctx.p, code.r * ctx.m
+    w, _, key = _packing(p, lanes)
+    per = 63 // w
+    add = _packing(p, per)[1]
+    k = max(1, -(-lanes // per))
+    tabs = [
+        [np.array([t >> (w * per * i) & (1 << w * per) - 1 for t in tab], dtype=np.int64) for i in range(k)]
+        for tab in _column_tables(code, w)
+    ]
+    keys = np.empty(1 + sum((ctx.q - 1) * ctx.q ** (width - 1) for _, width in spans), dtype=np.int64)
     keys[0] = 0  # the zero burst
     at = 1
     for start, width in spans:
-        cut = start + width
-        while cut - 1 > start and q ** (start + width - cut + 1) <= CHUNK_ROWS:
-            cut -= 1
-        tail = np.zeros((lanes, 1), dtype=dt)
-        for j in range(cut, start + width):
-            tail = ((tail[:, :, None] + tabs[j][:, None, :]) % p).reshape(lanes, tail.shape[1] * q)
-        heads = (q - 1) * q ** (cut - start - 1)
-        step = max(1, CHUNK_ROWS // tail.shape[1])
-        for lo in range(0, heads, step):
-            idx = np.arange(lo, min(lo + step, heads))
-            head = np.zeros((lanes, idx.size), dtype=dt)
-            for j in range(cut - 1, start, -1):
-                idx, d = np.divmod(idx, q)
-                head += tabs[j][:, d]
-                head %= p
-            head += tabs[start][:, idx + 1]
-            head %= p
-            grid = (head[:, :, None] + tail[:, None, :]).reshape(lanes, idx.size * tail.shape[1])
-            grid %= p
-            block = np.zeros(grid.shape[1], dtype=np.int64)
+        acc = [np.zeros(1, dtype=np.int64)] * k
+        for j in reversed(range(start, start + width)):  # the anchor column takes d != 0 only
+            acc = [add(t[int(j == start) :, None], a).ravel() for t, a in zip(tabs[j], acc)]
+        grid = acc[0]
+        if k > 1:
+            grid = np.zeros_like(grid)
             for lane in reversed(range(lanes)):
-                block *= p
-                block += grid[lane]
-            keys[at : at + block.size] = block
-            at += block.size
+                grid = grid * p + (acc[lane // per] >> (w * (lane % per)) & (1 << w) - 1)
+        keys[at : at + grid.size] = grid
+        at += grid.size
     if at != keys.size:
         raise AssertionError("the span grids left syndrome keys unfilled")
-    return keys
+    uniq, counts = np.unique(keys, return_counts=True)
+    best = np.argmax(counts)  # uniq is sorted: the smallest key of the largest bucket
+    return keys.size, uniq.size, int(counts[best]), key(int(uniq[best])) if k == 1 else int(uniq[best])
 
 
 def max_list_size(

@@ -156,3 +156,10 @@ def test_burst_pattern_round_trip():
 def test_count_tau_zero_formula_truncation():
     # the closed form truncates to 1 + (q-1)n below tau = 2
     assert count_bursts(3, 4, 0) == count_bursts(3, 4, 1) == 1 + 2 * 4
+
+
+@pytest.mark.parametrize("q", [-3, 0, 1])
+def test_counts_refuse_an_alphabet_below_two(q):
+    for count in (count_bursts, count_bursts_phased, lambda q, n, tau: BurstSpace(n, tau).count(q)):
+        with pytest.raises(ValueError, match=f"^the alphabet size q must be at least 2, got {q}$"):
+            count(q, 4, 2)

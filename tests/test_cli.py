@@ -276,10 +276,14 @@ FIELD_SCALARS = "error: field 'p' and 'm' must be integers and 'modulus' a list 
         (lambda d: {**d, "n": None}, SCALARS),
         (lambda d: {**d, "field": {**d["field"], "p": None}}, FIELD_SCALARS),
         (lambda d: {**d, "field": {**d["field"], "modulus": 5}}, FIELD_SCALARS),
+        (
+            lambda d: {**d, "field": {**d["field"], "m": 10_000_000}},
+            "error: field size 7^10000000 exceeds the cap 1048576",
+        ),
     ],
     ids=[
         "no-kind", "no-n", "no-field", "no-H", "field-no-m", "H-5", "H-flat-row", "list",
-        "meta-5", "n-null", "field-p-null", "field-modulus-5",
+        "meta-5", "n-null", "field-p-null", "field-modulus-5", "field-m-huge",
     ],
 )
 def test_malformed_code_files_are_usage_errors(capsys, tmp_path, edit, message):
@@ -354,11 +358,13 @@ NON_NEGATIVE = "--cap must be a non-negative integer, got "
             "the alphabet size q must be at least 2, got 1",
         ),
         (["count-bursts", "--q", "3", "--n", "4", "--tau", "0"], "tau must satisfy 1 <= tau <= 4, got 0"),
+        (["count-bursts", "--q", "-3", "--n", "4", "--tau", "2"], "the alphabet size q must be at least 2, got -3"),
+        (["count-bursts", "--q", "1", "--n", "4", "--tau", "2"], "the alphabet size q must be at least 2, got 1"),
         (["certify", "--construct", "ex1", "--tau", "2", "--ell", "1"], "a construction needs --q"),
     ],
     ids=[
         "cap-negative", "cap-text", "alpha-99", "alpha-minus-2", "beta-minus-3", "delta-5",
-        "bounds-q1", "tau-0", "no-q",
+        "bounds-q1", "tau-0", "count-q-minus-3", "count-q1", "no-q",
     ],
 )
 def test_out_of_range_flags_are_usage_errors(capsys, argv, message):

@@ -404,23 +404,51 @@ def test_import_does_not_load_numpy():
     assert subprocess.run([sys.executable, "-c", probe], env=env, timeout=120).returncode == 0
 
 
-@pytest.mark.parametrize("rows", [1, 5, 50])
-def test_chunked_scan_matches_pure_buckets(fields, monkeypatch, rows):
+@pytest.mark.parametrize(
+    "q,n,r,tau,phased,h,k",
+    [
+        (8, 7, 3, 3, True, "rs", 1),
+        (7, 6, 3, 3, False, "rs", 1),
+        (9, 8, 3, 2, False, "rs", 1),
+        (81, 10, 6, 2, False, "rs", 2),
+        (27, 13, 8, 3, True, "rs", 2),
+        (1009, 8, 6, 1, False, "rs", 2),
+        (81, 12, 6, 2, False, "twice", 2),
+    ],
+    ids=["gf8-phased", "gf7", "gf9", "gf81-r6", "gf27-r8-phased", "gf1009-r6", "gf81-repeated-columns"],
+)
+def test_numpy_scan_matches_pure(q, n, r, tau, phased, h, k):
+    """The kernel on one int64 word (k = 1) and on k > 1 words, whose
+    grids it turns into dense keys; "twice" is H = [I | I], whose
+    buckets hold the bursts at j and j + r together."""
+    pytest.importorskip("numpy")
+    ctx = field_from_order(q)
+    if h == "rs":
+        code = rs_code(ctx, n, r)
+    else:
+        code = LinearCode(ctx, n, Mat.from_rows(ctx, [[int(i == j % r) for j in range(n)] for i in range(r)]))
+    w = listdec._packing(ctx.p, 1)[0]
+    assert max(1, -(-r * ctx.m // (63 // w))) == k
+    spans = list(anchored_spans(BurstSpace(n, tau, phased)))
+    assert listdec._scan_numpy(code, spans) == listdec._scan_pure(code, spans)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 1009])
+def test_packed_add_fills_an_int64_word(p):
+    """add on int64 arrays of 63 // w lanes: every lane at (p-1) + (p-1),
+    which needs the top lane's headroom, then random lanes."""
     np = pytest.importorskip("numpy")
-    monkeypatch.setattr(listdec, "CHUNK_ROWS", rows)
-    cases = (
-        (rs_code(fields[7], 6, 3), 3, False),
-        (rs_code(fields[8], 7, 3), 3, True),
-        (rs_code(field_new(3, 2), 8, 3), 2, False),
-    )
-    for code, tau, phased in cases:
-        space = BurstSpace(code.n, tau, phased)
-        spans = list(anchored_spans(space))
-        keys = listdec._syndrome_keys(np, code, spans)
-        key = listdec._packing(code.ctx.p, code.r * code.ctx.m)[2]
-        pure = itertools.chain.from_iterable(listdec._pure_syndromes(code, spans))
-        assert keys.tolist() == list(map(key, pure))
-        assert listdec._scan_numpy(code, spans) == listdec._scan_pure(code, spans)
+    w = listdec._packing(p, 1)[0]
+    lanes = 63 // w
+    add = listdec._packing(p, lanes)[1]
+    rng = random.Random(p)
+    a, b = ([[p - 1] * lanes] + [[rng.randrange(p) for _ in range(lanes)] for _ in range(500)] for _ in "ab")
+
+    def pack(digits):
+        return sum(d << (w * lane) for lane, d in enumerate(digits))
+
+    words = add(np.array(list(map(pack, a)), dtype=np.int64), np.array(list(map(pack, b)), dtype=np.int64))
+    assert words.tolist() == [pack([(x + y) % p for x, y in zip(u, v)]) for u, v in zip(a, b)]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 1009])
