@@ -171,6 +171,8 @@ def cmd_construct(args) -> int:
 
 def cmd_decode(args) -> int:
     handle = _load_code(args)
+    if args.ell is not None and args.ell < 1:
+        raise ValueError("the list size bound must be at least 1")
     y = _csv_ints(args.y)
     res = decode(handle, y, args.tau, phased=args.phased, cap=args.cap)
     cfg = {

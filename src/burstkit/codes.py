@@ -54,6 +54,12 @@ class LinearCode:
     def size(self) -> int:
         return self.ctx.q**self.k
 
+    @cached_property
+    def _window_tables(self) -> dict:
+        """listdec's per-window decoding tables, keyed by (tau, phased)
+        and filled on first use."""
+        return {}
+
     def syndrome(self, w) -> tuple[Fe, ...]:
         return tuple(mat_vec(self.H, list(w)))
 
@@ -98,6 +104,12 @@ class ExplicitCode:
     @cached_property
     def _members(self) -> frozenset[Word]:
         return frozenset(self.codewords)
+
+    @cached_property
+    def _window_tables(self) -> dict:
+        """listdec's per-window decoding tables, keyed by (tau, phased)
+        and filled on first use."""
+        return {}
 
     def contains(self, w) -> bool:
         return tuple(w) in self._members

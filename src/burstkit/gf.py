@@ -4,8 +4,8 @@ Elements are canonical indices in [0, q): index 0 is the additive zero
 and, for m > 1, an index packs the polynomial-basis coefficients of the
 element in base p, constant term in the least significant digit.
 Multiplication, inversion and powering run on log/antilog tables built
-from a fixed primitive element, so arithmetic is O(1) after
-construction.
+from a fixed primitive element, and addition in odd p^m on a Zech
+logarithm table, so arithmetic is O(1) after construction.
 
 The modulus and the generator are deterministic so that two builds of
 the same field agree element by element:
@@ -114,7 +114,7 @@ class FieldCtx:
     operations are pure.
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "generator", "_exp", "_log", "_neg_one")
+    __slots__ = ("p", "m", "q", "modulus", "generator", "_exp", "_log", "_zech", "_neg_one")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...] | None = None):
         if m < 1:
@@ -181,6 +181,13 @@ class FieldCtx:
             raise AssertionError("generator does not have full order")
         self._exp = exp
         self._log = log
+        # Zech logarithms for odd p^m: _zech[i] = log(1 + alpha^i), or -1
+        # where that sum is 0; adding 1 bumps the constant digit
+        self._zech = None
+        if p > 2 and m > 1:
+            self._zech = [
+                log[y] if y else -1 for y in (x - x % p + (x % p + 1) % p for x in exp)
+            ]
         self._neg_one = 1 if p == 2 else p - 1
 
     # -- arithmetic --------------------------------------------------
@@ -190,15 +197,12 @@ class FieldCtx:
             return a ^ b
         if self.m == 1:
             return (a + b) % self.p
-        p = self.p
-        r = 0
-        mult = 1
-        while a or b:
-            a, da = divmod(a, p)
-            b, db = divmod(b, p)
-            r += ((da + db) % p) * mult
-            mult *= p
-        return r
+        if a == 0 or b == 0:
+            return a or b
+        # alpha^i + alpha^j = alpha^i * (1 + alpha^(j - i))
+        la = self._log[a]
+        z = self._zech[(self._log[b] - la) % (self.q - 1)]
+        return 0 if z < 0 else self._exp[(la + z) % (self.q - 1)]
 
     def neg(self, a: Fe) -> Fe:
         if self.p == 2 or a == 0:

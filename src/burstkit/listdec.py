@@ -3,8 +3,13 @@ list-size certification.
 
 decode(y) returns exactly the codewords within a single tau-burst of y
 (the set-valued complete decoder; words near no codeword decode to the
-empty set). For linear codes each candidate window costs one affine
-solve against the syndrome. Certification never scans received words:
+empty set). It reads one table per window, built on first use for each
+(tau, phased) and cached on the code object: for a linear code the
+window's RREF transform, which maps the syndrome to the window's
+payloads with no elimination per word; for an explicit code the
+codewords grouped by what is left once the window's positions are
+deleted, so y is looked up rather than compared with every codeword.
+Certification never scans received words:
 the linear path buckets every tau-burst by syndrome and reads the
 largest bucket, the explicit path buckets codeword+burst sums; the two
 paths compute the same maximum and are cross-checked in the tests.
@@ -19,8 +24,9 @@ witness comes from decode, run on the worst word y (a word whose
 syndrome is the smallest key of the largest bucket, or the smallest
 word of the largest sum bucket).
 
-Detection is tested window by window: a nonzero tau-burst difference of
-two codewords lies inside some window of tau consecutive positions.
+Detection is tested window by window, from the same tables: a nonzero
+tau-burst difference of two codewords lies inside some window of tau
+consecutive positions.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _caps
 from .burst import (
@@ -39,7 +46,8 @@ from .burst import (
     is_burst,
 )
 from .codes import CodeHandle, ExplicitCode, LinearCode
-from .matpoly import Mat, rank, solve_affine, span_members
+from .gf import Fe
+from .matpoly import Mat, _null_basis_from_rref, mat_vec, rref, solve_affine, span_members
 
 
 @dataclass
@@ -108,52 +116,92 @@ def decode(code, y, tau: int, phased: bool = False, cap: int | None = None) -> L
 def _decode_linear(code: LinearCode, y: Word, tau: int, space: BurstSpace, cap) -> ListDecodeResult:
     ctx = code.ctx
     limit = _caps.solutions_cap(cap)
-    syn = list(code.syndrome(y))
+    syn = code.syndrome(y)
     found: dict[Word, BurstPattern] = {}
     stats: dict[int, int] = {}
-    for win in space.windows:
-        sol = solve_affine(_window_matrix(code, win), syn)
-        if sol is None:
+    for win, pivots, solve, annihilator, basis in _window_table(code, tau, space.phased):
+        if any(mat_vec(annihilator, syn)):
             stats[win.start] = 0
             continue
-        particular, basis = sol
+        particular = [0] * len(win)
+        for c, z in zip(pivots, mat_vec(solve, syn)):
+            particular[c] = z
         _caps.check("window solution set q^b", ctx.q ** len(basis), limit)
         members = span_members(ctx, particular, basis)
         for ew in members:
-            e = (0,) * win.start + ew + (0,) * (code.n - win.stop)
-            c = _word_sub(ctx, y, e)
+            c = y[: win.start] + tuple(map(ctx.sub, y[win.start : win.stop], ew)) + y[win.stop :]
             if c not in found:
+                e = (0,) * win.start + ew + (0,) * (code.n - win.stop)
                 found[c] = BurstPattern.from_word(e, tau)
         stats[win.start] = len(members)
     candidates = sorted(found.items())
     return ListDecodeResult(candidates, stats)
 
 
-def _window_matrix(code: LinearCode, win: range) -> Mat:
-    """The columns of H inside the window."""
-    rows = [[code.H.at(i, j) for j in win] for i in range(code.r)]
-    return Mat.from_rows(code.ctx, rows, cols=len(win))
-
-
 def _decode_explicit(code: ExplicitCode, y: Word, tau: int, space: BurstSpace, cap) -> ListDecodeResult:
     ctx = code.ctx
     _caps.check("explicit codeword scan", code.size, _caps.codewords_cap(cap))
-    windows = space.windows
     found: dict[Word, BurstPattern] = {}
-    stats: dict[int, int] = {win.start: 0 for win in windows}
-    for c in code.codewords:
-        e = _word_sub(ctx, y, c)
-        if not is_burst(e, tau):
-            continue
-        hit = False
-        for win in windows:
-            if _support_in(e, win):
-                stats[win.start] += 1
-                hit = True
-        if hit:
-            found[c] = BurstPattern.from_word(e, tau)
+    stats: dict[int, int] = {}
+    for win, by_rest in _window_table(code, tau, space.phased):
+        hits = by_rest.get(y[: win.start] + y[win.stop :], ())
+        for c in hits:
+            if c not in found:
+                found[c] = BurstPattern.from_word(_word_sub(ctx, y, c), tau)
+        stats[win.start] = len(hits)
     candidates = sorted(found.items())
     return ListDecodeResult(candidates, stats)
+
+
+# -- window tables --------------------------------------------------------
+
+class _LinearWindow(NamedTuple):
+    """One window W of a linear code, from rref([H_W | I_r]) = [R | E].
+
+    E is invertible and E*H_W = R = rref(H_W), so for a syndrome S and
+    z = E*S the RREF of the system H_W*u = S is [R | z]: it is consistent
+    iff z is zero past the rank (the annihilator rows of E, which span
+    the left null space of H_W), its particular solution holds z[i] at
+    pivot i (the solve rows, the first rank rows of E), and basis is the
+    canonical null basis of H_W.
+    """
+
+    win: range
+    pivots: tuple[int, ...]
+    solve: Mat
+    annihilator: Mat
+    basis: list[list[Fe]]
+
+
+def _linear_window(code: LinearCode, win: range) -> _LinearWindow:
+    ctx, r, width = code.ctx, code.r, len(win)
+    rows = [[code.H.at(i, j) for j in win] + [int(i == k) for k in range(r)] for i in range(r)]
+    red, pivots = rref(Mat.from_rows(ctx, rows, cols=width + r))
+    pivots = tuple(c for c in pivots if c < width)
+    e = [red.row(i)[width:] for i in range(r)]
+    solve, annihilator = (Mat.from_rows(ctx, part, cols=r) for part in (e[: len(pivots)], e[len(pivots) :]))
+    return _LinearWindow(win, pivots, solve, annihilator, _null_basis_from_rref(red, pivots, width))
+
+
+def _window_table(code, tau: int, phased: bool) -> list:
+    """One entry per window of the (tau, phased) burst space, built on
+    first use and cached on the code: a _LinearWindow for a linear code;
+    for an explicit code (window, dict from each codeword with the
+    window's positions deleted to the codewords that share it)."""
+    table = code._window_tables.get((tau, phased))
+    if table is None:
+        windows = BurstSpace(code.n, tau, phased).windows
+        if isinstance(code, LinearCode):
+            table = [_linear_window(code, win) for win in windows]
+        else:
+            table = []
+            for win in windows:
+                by_rest: dict[Word, list[Word]] = {}
+                for c in code.codewords:
+                    by_rest.setdefault(c[: win.start] + c[win.stop :], []).append(c)
+                table.append((win, by_rest))
+        code._window_tables[(tau, phased)] = table
+    return table
 
 
 # -- detection ----------------------------------------------------------
@@ -166,15 +214,14 @@ def detects_single_burst(code, tau: int, cap: int | None = None) -> bool:
     every window of parity-check columns must be linearly independent (a
     dependent window is exactly a nonzero tau-burst codeword); for an
     explicit code the codewords must stay distinct once the window's
-    positions are deleted.
+    positions are deleted. Both read the decoder's window table.
     """
     code = _as_code(code)
-    windows = BurstSpace(code.n, tau).windows
     if isinstance(code, LinearCode):
-        return all(rank(_window_matrix(code, win)) == len(win) for win in windows)
+        return all(len(w.pivots) == len(w.win) for w in _window_table(code, tau, False))
+    windows = BurstSpace(code.n, tau).windows
     _caps.check("window deletion scan |C| * windows", code.size * len(windows), _caps.enum_cap(cap))
-    words = code.codewords
-    return all(len({c[: w.start] + c[w.stop :] for c in words}) == code.size for w in windows)
+    return all(len(by_rest) == code.size for _, by_rest in _window_table(code, tau, False))
 
 
 # -- certification -------------------------------------------------------

@@ -260,8 +260,8 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
         prow = rs[pr]
         for i in range(m.rows):
             if i != pr and rs[i][c] != 0:
-                f = rs[i][c]
-                rs[i] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(rs[i], prow)]
+                f = ctx.neg(rs[i][c])
+                rs[i] = [ctx.add(x, ctx.mul(f, y)) if y else x for x, y in zip(rs[i], prow)]
         pivots.append(c)
         pr += 1
     return Mat.from_rows(ctx, rs, cols=m.cols), tuple(pivots)

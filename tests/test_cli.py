@@ -361,10 +361,12 @@ NON_NEGATIVE = "--cap must be a non-negative integer, got "
         (["count-bursts", "--q", "-3", "--n", "4", "--tau", "2"], "the alphabet size q must be at least 2, got -3"),
         (["count-bursts", "--q", "1", "--n", "4", "--tau", "2"], "the alphabet size q must be at least 2, got 1"),
         (["certify", "--construct", "ex1", "--tau", "2", "--ell", "1"], "a construction needs --q"),
+        (["decode", *RS7, "--y", "1,2,3,4,5,6", "--tau", "2", "--ell", "0"], "the list size bound must be at least 1"),
+        (["decode", *RS7, "--y", "1,2,3,4,5,6", "--tau", "2", "--ell", "-1"], "the list size bound must be at least 1"),
     ],
     ids=[
         "cap-negative", "cap-text", "alpha-99", "alpha-minus-2", "beta-minus-3", "delta-5",
-        "bounds-q1", "tau-0", "count-q-minus-3", "count-q1", "no-q",
+        "bounds-q1", "tau-0", "count-q-minus-3", "count-q1", "no-q", "decode-ell-0", "decode-ell-minus-1",
     ],
 )
 def test_out_of_range_flags_are_usage_errors(capsys, argv, message):

@@ -14,8 +14,10 @@ from burstkit import (
     BurstSpace,
     CapExceeded,
     ExplicitCode,
+    ListDecodeResult,
     Mat,
     LinearCode,
+    _caps,
     appendix_a_code,
     certify,
     count_bursts,
@@ -30,10 +32,13 @@ from burstkit import (
     listdec,
     max_list_size,
     replay_witness,
+    rank,
     rs_code,
+    solve_affine,
 )
 from burstkit.burst import anchored_spans, enumerate_bursts
 from burstkit.listdec import _word_add, _word_sub
+from burstkit.matpoly import span_members
 
 SMALL_FIELDS = {q: field_from_order(q) for q in (2, 3, 4, 5, 8, 9)}
 
@@ -322,6 +327,169 @@ def test_caps_are_hard_errors(fields, monkeypatch):
     monkeypatch.setitem(sys.modules, "numpy", _Untouchable())
     with pytest.raises(CapExceeded, match=r"^burst bucketing q\^tau \* n needs 983040 > cap 1000$"):
         max_list_size(code, 4, cap=1000)
+
+
+# -- the window-table decoder against per-word solves and codeword scans ----
+
+DECODE_FIELDS = {**SMALL_FIELDS, 7: field_from_order(7)}
+
+
+def window_matrix(code, win):
+    return Mat.from_rows(code.ctx, [[code.H.at(i, j) for j in win] for i in range(code.r)], cols=len(win))
+
+
+def solve_affine_decode(code, y, tau, phased=False, cap=None):
+    """The linear decoder without window tables: one solve_affine of the
+    window's columns of H against the syndrome, per window and word."""
+    ctx = code.ctx
+    limit = _caps.solutions_cap(cap)
+    syn = list(code.syndrome(y))
+    found, stats = {}, {}
+    for win in BurstSpace(code.n, tau, phased).windows:
+        sol = solve_affine(window_matrix(code, win), syn)
+        if sol is None:
+            stats[win.start] = 0
+            continue
+        particular, basis = sol
+        _caps.check("window solution set q^b", ctx.q ** len(basis), limit)
+        members = span_members(ctx, particular, basis)
+        for ew in members:
+            e = (0,) * win.start + ew + (0,) * (code.n - win.stop)
+            c = _word_sub(ctx, y, e)
+            if c not in found:
+                found[c] = BurstPattern.from_word(e, tau)
+        stats[win.start] = len(members)
+    return ListDecodeResult(sorted(found.items()), stats)
+
+
+def codeword_scan_decode(code, y, tau, phased=False, cap=None):
+    """The explicit decoder without window tables: y minus every codeword,
+    kept when the difference fits a window."""
+    ctx = code.ctx
+    _caps.check("explicit codeword scan", code.size, _caps.codewords_cap(cap))
+    windows = BurstSpace(code.n, tau, phased).windows
+    found, stats = {}, {win.start: 0 for win in windows}
+    for c in code.codewords:
+        e = _word_sub(ctx, y, c)
+        if not is_burst(e, tau):
+            continue
+        hit = False
+        for win in windows:
+            if all(x == 0 for i, x in enumerate(e) if i not in win):
+                stats[win.start] += 1
+                hit = True
+        if hit:
+            found[c] = BurstPattern.from_word(e, tau)
+    return ListDecodeResult(sorted(found.items()), stats)
+
+
+def decode_outcome(fn, *args):
+    """(candidates, window_stats), or the CapExceeded message."""
+    try:
+        res = fn(*args)
+    except CapExceeded as exc:
+        return str(exc)
+    return res.candidates, res.window_stats
+
+
+@st.composite
+def near_words(draw, ctx, n, tau, codeword):
+    """A uniform word, or codeword plus a random payload in one window."""
+    if draw(st.booleans()):
+        return tuple(draw(st.lists(st.integers(0, ctx.q - 1), min_size=n, max_size=n)))
+    y = list(codeword)
+    start = draw(st.integers(0, n - 1))
+    for j in range(start, min(start + tau, n)):
+        y[j] = ctx.add(y[j], draw(st.integers(0, ctx.q - 1)))
+    return tuple(y)
+
+
+@st.composite
+def linear_decode_cases(draw):
+    """A random full-rank H over GF(2, 3, 4, 5, 7, 8, 9), r = 0 included,
+    with tau up to n (windows wider than r are rank-deficient), a word
+    near a codeword, either window kind and a cap that may fire."""
+    q = draw(st.sampled_from(sorted(DECODE_FIELDS)))
+    ctx = DECODE_FIELDS[q]
+    n = draw(st.integers(1, 7))
+    r = draw(st.integers(0, min(4, n)))
+    tau = draw(st.integers(1, max(t for t in range(1, n + 1) if q**t <= 729)))
+    data = draw(st.lists(st.integers(0, q - 1), min_size=r * n, max_size=r * n))
+    try:
+        code = LinearCode(ctx, n, Mat(ctx, r, n, data))
+    except ValueError:  # rank-deficient draw
+        assume(False)
+    gen = code.generator_matrix()
+    c = [0] * n
+    for i in range(gen.rows):
+        a = draw(st.integers(0, q - 1))
+        c = [ctx.add(x, ctx.mul(a, g)) for x, g in zip(c, gen.row(i))]
+    y = draw(near_words(ctx, n, tau, c))
+    return code, y, tau, draw(st.booleans()), draw(st.one_of(st.none(), st.integers(0, 30)))
+
+
+def test_linear_decode_matches_solve_affine_oracle():
+    seen = set()
+
+    @settings(max_examples=400, deadline=None)
+    @given(linear_decode_cases())
+    def check(case):
+        code, y, tau, phased, cap = case
+        got = decode_outcome(decode, code, y, tau, phased, cap)
+        assert got == decode_outcome(solve_affine_decode, code, y, tau, phased, cap)
+        windows = BurstSpace(code.n, tau, phased).windows
+        ranks = [rank(window_matrix(code, win)) for win in windows]
+        full = [rank(window_matrix(code, win)) == tau for win in BurstSpace(code.n, tau).windows]
+        assert detects_single_burst(code, tau) == all(full)
+        seen.add("cap" if isinstance(got, str) else "decoded")
+        if any(rk < len(win) for rk, win in zip(ranks, windows)):
+            seen.add("rank-deficient")
+        if code.r == 0:
+            seen.add("r=0")
+        if phased and len(windows[-1]) < tau:
+            seen.add("clipped")
+        if not isinstance(got, str) and len(got[0]) > 1:
+            seen.add("list")
+
+    check()
+    assert seen == {"cap", "decoded", "rank-deficient", "r=0", "clipped", "list"}
+
+
+@st.composite
+def explicit_decode_cases(draw):
+    code, tau = draw(small_explicit_codes())
+    y = draw(near_words(code.ctx, code.n, tau, draw(st.sampled_from(code.codewords))))
+    return code, y, tau, draw(st.booleans()), draw(st.one_of(st.none(), st.integers(0, 45)))
+
+
+def test_explicit_decode_matches_codeword_scan_oracle():
+    seen = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(explicit_decode_cases())
+    def check(case):
+        code, y, tau, phased, cap = case
+        got = decode_outcome(decode, code, y, tau, phased, cap)
+        assert got == decode_outcome(codeword_scan_decode, code, y, tau, phased, cap)
+        seen.add("cap" if isinstance(got, str) else len(got[0]) > 1)
+
+    check()
+    assert seen == {"cap", True, False}
+
+
+def test_window_tables_are_keyed_by_tau_and_phase():
+    """One code object decoded at tau = 2, then 3, then 2 phased, with
+    detection in between, answers as a fresh object does each time."""
+    ctx = field_from_order(5)
+    rng = random.Random(5)
+    words = [tuple(rng.randrange(5) for _ in range(4)) for _ in range(6)] + [(0, 0, 0, 0), (1, 2, 0, 0)]
+    for make in (lambda: rs_code(ctx, 4, 2), lambda: expand(rs_code(ctx, 4, 2))):
+        code = make()
+        for tau, phased in ((2, False), (3, False), (2, True), (3, True), (2, False)):
+            for y in words:
+                assert decode(code, y, tau, phased) == decode(make(), y, tau, phased)
+            for t in (2, 3):
+                assert detects_single_burst(code, t) == detects_single_burst(make(), t)
 
 
 # -- the numpy scan kernel against the pure-Python scan ---------------------
