@@ -123,26 +123,41 @@ def _csv_ints(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x != ""]
 
 
+def _given(value, default):
+    """A flag's value when the flag is present (0 included), else default."""
+    return default if value is None else value
+
+
+def _construct_rs(ctx, args):
+    if args.n is None or args.r is None:
+        raise ValueError("rs construction needs --n and --r")
+    return rs_code(ctx, args.n, args.r), {"q": args.q, "n": args.n, "r": args.r}
+
+
+def _construct_ex2(ctx, args):
+    delta = _given(args.delta, 1)
+    return example_code_2(ctx, delta), {"q": args.q, "delta": delta}
+
+
+def _construct_appxa(ctx, args):
+    stars = _csv_ints(args.stars) if args.stars else [0] * 6
+    return appendix_a_code(ctx, stars), {"q": args.q, "stars": stars}
+
+
+# construction name -> (field, flags) -> (code, params)
+_CONSTRUCTIONS = {
+    "rs": _construct_rs,
+    "ex1": lambda ctx, args: (example_code_1(ctx), {"q": args.q}),
+    "ex2": _construct_ex2,
+    "appxa": _construct_appxa,
+}
+
+
 def _build_construct(args) -> CodeHandle:
     if args.q is None:
         raise ValueError("a construction needs --q")
-    ctx = field_from_order(args.q)
-    kind = args.construct
-    if kind == "rs":
-        if args.n is None or args.r is None:
-            raise ValueError("rs construction needs --n and --r")
-        return CodeHandle(
-            rs_code(ctx, args.n, args.r), "rs", {"q": args.q, "n": args.n, "r": args.r}
-        )
-    if kind == "ex1":
-        return CodeHandle(example_code_1(ctx), "ex1", {"q": args.q})
-    if kind == "ex2":
-        delta = 1 if args.delta is None else args.delta
-        return CodeHandle(example_code_2(ctx, delta), "ex2", {"q": args.q, "delta": delta})
-    if kind == "appxa":
-        stars = _csv_ints(args.stars) if args.stars else [0] * 6
-        return CodeHandle(appendix_a_code(ctx, stars), "appxa", {"q": args.q, "stars": stars})
-    raise ValueError(f"unknown construction {kind!r}")
+    code, params = _CONSTRUCTIONS[args.construct](field_from_order(args.q), args)
+    return CodeHandle(code, args.construct, params)
 
 
 def _load_code(args) -> CodeHandle:
@@ -314,8 +329,9 @@ def _reproduce_appendix_a(q: int, samples: int, seed: int) -> list[dict]:
     ]
 
 
-def _reproduce_rs_grid(q: int, n: int, ell_max: int, tau_max: int) -> list[dict]:
+def _reproduce_rs_grid(q: int, n: int | None, ell_max: int, tau_max: int) -> list[dict]:
     ctx = field_from_order(q)
+    n = _given(n, q - 1)
     checks = []
     for ell in range(1, ell_max + 1):
         for tau in range(1, tau_max + 1):
@@ -371,6 +387,16 @@ def _reproduce_resultant_grid(seed: int, count: int) -> list[dict]:
     return checks
 
 
+# reproduce item -> runner of the parsed flags
+_REPRODUCE = {
+    "example1": lambda args: _reproduce_example1(_given(args.q, 3)),
+    "example2": lambda args: _reproduce_example2(_given(args.q, 3)),
+    "appendix_a": lambda args: _reproduce_appendix_a(_given(args.q, 2), args.samples, args.seed),
+    "rs_grid": lambda args: _reproduce_rs_grid(_given(args.q, 7), args.n, 3, 4),
+    "resultant_grid": lambda args: _reproduce_resultant_grid(args.seed, args.count),
+}
+
+
 def _emit_csv(checks: list[dict], args) -> None:
     lines = ["name,pass,details"]
     for c in checks:
@@ -383,18 +409,12 @@ def _emit_csv(checks: list[dict], args) -> None:
 
 def cmd_reproduce(args) -> int:
     item = args.item
-    if item == "example1":
-        checks = _reproduce_example1(args.q or 3)
-    elif item == "example2":
-        checks = _reproduce_example2(args.q or 3)
-    elif item == "appendix_a":
-        checks = _reproduce_appendix_a(args.q or 2, args.samples, args.seed)
-    elif item == "rs_grid":
-        checks = _reproduce_rs_grid(args.q or 7, args.n or (args.q or 7) - 1, 3, 4)
-    elif item == "resultant_grid":
-        checks = _reproduce_resultant_grid(args.seed, args.count)
-    else:
-        raise ValueError(f"unknown reproduce item {item!r}")
+    for flag, value in (("--samples", args.samples), ("--count", args.count)):
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
+    checks = _REPRODUCE[item](args)
+    if not checks:
+        raise ValueError(f"reproduce {item} has no checks to run for these flags")
     all_pass = all(c["pass"] for c in checks)
     cfg = {
         "item": item,
@@ -428,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     # where decode and certify take their code from
     source = argparse.ArgumentParser(add_help=False)
     source.add_argument("--code", help="code file (JSON)")
-    source.add_argument("--construct", choices=["rs", "ex1", "ex2", "appxa"])
+    source.add_argument("--construct", choices=list(_CONSTRUCTIONS))
     for flag in ("--q", "--n", "--r", "--delta"):
         source.add_argument(flag, type=int)
     source.add_argument("--stars")
@@ -442,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_count_bursts)
 
     p = sub.add_parser("construct", help="emit a code file")
-    p.add_argument("--kind", dest="construct", required=True, choices=["rs", "ex1", "ex2", "appxa"])
+    p.add_argument("--kind", dest="construct", required=True, choices=list(_CONSTRUCTIONS))
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=int)
     p.add_argument("--r", type=int)
@@ -493,10 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_resultant)
 
     p = sub.add_parser("reproduce", help="scripted end-to-end reproductions")
-    p.add_argument(
-        "item",
-        choices=["example1", "example2", "appendix_a", "rs_grid", "resultant_grid"],
-    )
+    p.add_argument("item", choices=list(_REPRODUCE))
     p.add_argument("--q", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--seed", type=int, default=0)

@@ -9,20 +9,21 @@ window's RREF transform, which maps the syndrome to the window's
 payloads with no elimination per word; for an explicit code the
 codewords grouped by what is left once the window's positions are
 deleted, so y is looked up rather than compared with every codeword.
-Certification never scans received words:
-the linear path buckets every tau-burst by syndrome and reads the
-largest bucket, the explicit path buckets codeword+burst sums; the two
-paths compute the same maximum and are cross-checked in the tests.
+Certification never scans received words. One scan keys every sum
+c + e of a codeword and a tau-burst by check*c + check*e and reads the
+largest bucket. A linear code's check is H, so every offset check*c is
+0; an explicit code's is the invertible n x n exchange matrix J, so a
+bucket holds the pairs summing to one word, one offset per codeword.
 
-The syndrome scan packs a syndrome's r*m base-p digit lanes (lane m*i
-+ k holds digit k of row i) into integers, adds them lane-wise mod p,
-and counts the syndromes of all bursts in enumeration order. The
-pure-Python scan holds each syndrome in one int and is the fallback and
-the reference the tests compare against; when numpy is importable the
-same recursion runs on int64 words. The scan only counts: the refutation
-witness comes from decode, run on the worst word y (a word whose
-syndrome is the smallest key of the largest bucket, or the smallest
-word of the largest sum bucket).
+The scan packs a syndrome's rows*m base-p digit lanes (lane m*i + k
+holds digit k of row i) into integers, adds them lane-wise mod p, and
+counts the keys in enumeration order. The pure-Python scan holds each
+syndrome in one int and is the fallback and the reference the tests
+compare against; when numpy is importable the same recursion runs on
+int64 words. The scan only counts: the refutation witness comes from
+decode, run on the worst word y, whose syndrome is the smallest key of
+the largest bucket (J puts position 0 in the top row, so for an explicit
+code y is the smallest word of the largest sum bucket).
 
 Detection is tested window by window, from the same tables: a nonzero
 tau-burst difference of two codewords lies inside some window of tau
@@ -42,7 +43,6 @@ from .burst import (
     BurstSpace,
     Word,
     anchored_spans,
-    enumerate_bursts,
     is_burst,
 )
 from .codes import CodeHandle, ExplicitCode, LinearCode
@@ -248,83 +248,101 @@ def _packing(p: int, lanes: int):
     return w, operator.xor if p == 2 else add, key
 
 
-def _column_tables(code: LinearCode, w: int):
-    """tabs[j][d]: the syndrome of digit d at position j, as r*m base-p
-    digit lanes (lane m*i + k holds digit k of row i) at w bits each."""
-    ctx = code.ctx
+def _check(code) -> Mat:
+    """The scan's check: H, or for an explicit code the exchange matrix J."""
+    if isinstance(code, LinearCode):
+        return code.H
+    return Mat.from_rows(code.ctx, [[int(i + j == code.n - 1) for j in range(code.n)] for i in range(code.n)])
+
+
+def _column_tables(code, w: int):
+    """(offsets, tabs): tabs[j][d] is the syndrome of digit d at position
+    j, as rows*m base-p digit lanes (lane m*i + k holds digit k of row i)
+    at w bits each; offsets holds check*c, [0] for a linear code, else one
+    per codeword (J gives each position its own lanes, so a sum packs)."""
+    ctx, h = code.ctx, _check(code)
     p, m = ctx.p, ctx.m
     spread = [sum(x // p**k % p << (w * k) for k in range(m)) for x in range(ctx.q)]
-    return [
-        [sum(spread[ctx.mul(d, code.H.at(i, j))] << (w * m * i) for i in range(code.r)) for d in range(ctx.q)]
+    tabs = [
+        [sum(spread[ctx.mul(d, h.at(i, j))] << (w * m * i) for i in range(h.rows)) for d in range(ctx.q)]
         for j in range(code.n)
     ]
+    if isinstance(code, LinearCode):
+        return [0], tabs
+    return [sum(tab[x] for tab, x in zip(tabs, c)) for c in code.codewords], tabs
 
 
-def _pure_syndromes(code: LinearCode, spans):
-    """The packed syndrome of every burst in enumeration order: [0] for
-    the zero burst, then per anchored span the outer sum of its column
-    tables, from the last column back; the first column takes nonzero
-    digits only."""
-    w, add, _ = _packing(code.ctx.p, code.r * code.ctx.m)
-    tabs = _column_tables(code, w)
-    yield [0]
+def _pure_syndromes(code, spans):
+    """The packed key of every (codeword, burst) pair in enumeration
+    order: the offsets for the zero burst, then per anchored span the
+    outer sum of its column tables and the offsets, from the last column
+    back; the first column takes nonzero digits only."""
+    w, add, _ = _packing(code.ctx.p, _check(code).rows * code.ctx.m)
+    offsets, tabs = _column_tables(code, w)
+    yield offsets
     for start, width in spans:
-        acc = [0]
+        acc = offsets
         for tab in reversed(tabs[start + 1 : start + width]):
             acc = [add(t, a) for t in tab for a in acc]
         yield [add(t, a) for t in tabs[start][1:] for a in acc]
 
 
-def _scan_pure(code: LinearCode, spans):
-    """The pure-Python scan: (bursts, buckets, max bucket, its smallest
+def _scan_pure(code, spans):
+    """The pure-Python scan: (pairs, buckets, max bucket, its smallest
     key). It counts packed syndromes and converts only the winner."""
     buckets: Counter[int] = Counter()
     for syndromes in _pure_syndromes(code, spans):
         buckets.update(syndromes)
     max_count = max(buckets.values())
     best = min(s for s, v in buckets.items() if v == max_count)
-    key = _packing(code.ctx.p, code.r * code.ctx.m)[2]
+    key = _packing(code.ctx.p, _check(code).rows * code.ctx.m)[2]
     return sum(buckets.values()), len(buckets), max_count, key(best)
 
 
-def _scan_numpy(code: LinearCode, spans):
+def _scan_numpy(code, spans):
     """The same result as _scan_pure from _pure_syndromes' recursion on
     int64 arrays; None when numpy is missing or a key would not fit in
-    int64.
+    int64 (q^rows >= 2^63).
 
     The packed lanes are split into k words of 63 // w lanes. For k = 1
     the word sorts as the key does and only the winner is converted; for
     k > 1 each span's grid is turned into the key sum(digit * p^lane)
     before it is stored.
     """
-    ctx = code.ctx
-    if ctx.q**code.r >= 1 << 63:
+    p, lanes = code.ctx.p, _check(code).rows * code.ctx.m
+    if p**lanes >= 1 << 63:
         return None
     try:
         import numpy as np
     except ImportError:
         return None
-    p, lanes = ctx.p, code.r * ctx.m
     w, _, key = _packing(p, lanes)
     per = 63 // w
     add = _packing(p, per)[1]
     k = max(1, -(-lanes // per))
-    tabs = [
-        [np.array([t >> (w * per * i) & (1 << w * per) - 1 for t in tab], dtype=np.int64) for i in range(k)]
-        for tab in _column_tables(code, w)
-    ]
-    keys = np.empty(1 + sum((ctx.q - 1) * ctx.q ** (width - 1) for _, width in spans), dtype=np.int64)
-    keys[0] = 0  # the zero burst
-    at = 1
+
+    def split(packed, mask=(1 << w * per) - 1):
+        return [np.array([t >> (w * per * i) & mask for t in packed], dtype=np.int64) for i in range(k)]
+
+    def keys_of(words):
+        if k == 1:
+            return words[0]
+        grid = np.zeros_like(words[0])
+        for lane in reversed(range(lanes)):
+            grid = grid * p + (words[lane // per] >> (w * (lane % per)) & (1 << w) - 1)
+        return grid
+
+    offsets, tabs = _column_tables(code, w)
+    offsets, tabs = split(offsets), [split(tab) for tab in tabs]
+    q, size = code.ctx.q, offsets[0].size
+    keys = np.empty(size * (1 + sum((q - 1) * q ** (width - 1) for _, width in spans)), dtype=np.int64)
+    keys[:size] = keys_of(offsets)  # the zero burst
+    at = size
     for start, width in spans:
-        acc = [np.zeros(1, dtype=np.int64)] * k
+        acc = offsets
         for j in reversed(range(start, start + width)):  # the anchor column takes d != 0 only
             acc = [add(t[int(j == start) :, None], a).ravel() for t, a in zip(tabs[j], acc)]
-        grid = acc[0]
-        if k > 1:
-            grid = np.zeros_like(grid)
-            for lane in reversed(range(lanes)):
-                grid = grid * p + (acc[lane // per] >> (w * (lane % per)) & (1 << w) - 1)
+        grid = keys_of(acc)
         keys[at : at + grid.size] = grid
         at += grid.size
     if at != keys.size:
@@ -357,21 +375,18 @@ def max_list_size(
     linear = isinstance(code, LinearCode)
     if linear:
         _caps.check("burst bucketing q^tau * n", ctx.q**tau * code.n, limit)
-        spans = list(anchored_spans(space))
-        bursts, n_buckets, max_count, key = _scan_numpy(code, spans) or _scan_pure(code, spans)
-        if bursts != n_bursts:
-            raise AssertionError("bucketed burst count disagrees with the closed form")
-        # y is any word whose syndrome has the key's base-q digits
-        y = solve_affine(code.H, [key // ctx.q**i % ctx.q for i in range(code.r)])[0]
-        work = {"bursts": bursts, "buckets": n_buckets, "windows": len(space.windows)}
+        work = {"bursts": n_bursts, "windows": len(space.windows)}
     else:
         _caps.check("sum bucketing |C| * V", code.size * n_bursts, limit)
-        buckets = Counter(
-            _word_add(ctx, c, e) for e in enumerate_bursts(ctx, space, cap) for c in code.codewords
-        )
-        max_count = max(buckets.values())
-        y = min(k for k, v in buckets.items() if v == max_count)
-        work = {"bursts": n_bursts, "pairs": code.size * n_bursts, "buckets": len(buckets)}
+        _caps.check("burst enumeration q^tau * n", ctx.q**tau * code.n, limit)
+        work = {"bursts": n_bursts, "pairs": code.size * n_bursts}
+    spans = list(anchored_spans(space))
+    pairs, work["buckets"], max_count, key = _scan_numpy(code, spans) or _scan_pure(code, spans)
+    if pairs != n_bursts * (1 if linear else code.size):
+        raise AssertionError("bucketed burst count disagrees with the closed form")
+    # y is any word whose syndrome under the check has the key's base-q digits
+    check = _check(code)
+    y = solve_affine(check, [key // ctx.q**i % ctx.q for i in range(check.rows)])[0]
     witness = None
     if ell is not None and max_count > ell:
         # limit covered the scan, so it also covers each window's q^tau

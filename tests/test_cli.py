@@ -363,10 +363,19 @@ NON_NEGATIVE = "--cap must be a non-negative integer, got "
         (["certify", "--construct", "ex1", "--tau", "2", "--ell", "1"], "a construction needs --q"),
         (["decode", *RS7, "--y", "1,2,3,4,5,6", "--tau", "2", "--ell", "0"], "the list size bound must be at least 1"),
         (["decode", *RS7, "--y", "1,2,3,4,5,6", "--tau", "2", "--ell", "-1"], "the list size bound must be at least 1"),
+        # a flag that is present is used as given, even when it is 0
+        (["reproduce", "example1", "--q", "0"], "0 is not a prime power"),
+        (["reproduce", "rs_grid", "--q", "0"], "0 is not a prime power"),
+        (["reproduce", "rs_grid", "--q", "7", "--n", "0"], "reproduce rs_grid has no checks to run for these flags"),
+        (["reproduce", "rs_grid", "--q", "7", "--n", "2"], "reproduce rs_grid has no checks to run for these flags"),
+        (["reproduce", "resultant_grid", "--count", "-5"], "--count must be at least 1, got -5"),
+        (["reproduce", "appendix_a", "--q", "5", "--samples", "0"], "--samples must be at least 1, got 0"),
     ],
     ids=[
         "cap-negative", "cap-text", "alpha-99", "alpha-minus-2", "beta-minus-3", "delta-5",
         "bounds-q1", "tau-0", "count-q-minus-3", "count-q1", "no-q", "decode-ell-0", "decode-ell-minus-1",
+        "reproduce-example1-q0", "reproduce-rs_grid-q0", "reproduce-rs_grid-n0", "reproduce-rs_grid-n2",
+        "reproduce-count-minus-5", "reproduce-samples-0",
     ],
 )
 def test_out_of_range_flags_are_usage_errors(capsys, argv, message):

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -323,10 +324,19 @@ def test_caps_are_hard_errors(fields, monkeypatch):
         max_list_size(code, 4, cap=1000)
     with pytest.raises(CapExceeded):
         expand(code)
-    # the scan cap fires before the numpy kernel touches numpy at all
+    # each scan cap fires before the numpy kernel touches numpy at all
     monkeypatch.setitem(sys.modules, "numpy", _Untouchable())
     with pytest.raises(CapExceeded, match=r"^burst bucketing q\^tau \* n needs 983040 > cap 1000$"):
         max_list_size(code, 4, cap=1000)
+    # an explicit code checks |C| * V first, then q^tau * n: one word and
+    # 65 bursts pass the first at cap 80 and fail the second
+    one_word = ExplicitCode(fields[5], 4, ((0, 0, 0, 0),))
+    with pytest.raises(CapExceeded, match=r"^burst enumeration q\^tau \* n needs 100 > cap 80$"):
+        max_list_size(one_word, 2, cap=80)
+    # ex1 over GF(5) fails |C| * V alone at cap 500, and both at cap 99
+    for cap in (500, 99):
+        with pytest.raises(CapExceeded, match=rf"^sum bucketing \|C\| \* V needs 520 > cap {cap}$"):
+            max_list_size(example_code_1(fields[5]), 2, cap=cap)
 
 
 # -- the window-table decoder against per-word solves and codeword scans ----
@@ -513,6 +523,68 @@ def small_linear_codes(draw):
     return code, tau
 
 
+def sum_bucketing(code, tau, phased, ell):
+    """Explicit certification with no syndromes: every codeword + burst
+    sum built as a word tuple and counted in a Counter. (max_list, work,
+    witness), the witness being the first ell+1 codewords, in order, of
+    the smallest word of the largest bucket, each with its burst."""
+    ctx = code.ctx
+    space = BurstSpace(code.n, tau, phased)
+    buckets = Counter(_word_add(ctx, c, e) for e in enumerate_bursts(ctx, space) for c in code.codewords)
+    most = max(buckets.values())
+    y = min(k for k, v in buckets.items() if v == most)
+    bursts = space.count(ctx.q)
+    work = {"bursts": bursts, "pairs": code.size * bursts, "buckets": len(buckets)}
+    if most <= ell:
+        return most, work, None
+    pairs = sorted((_word_sub(ctx, y, e), e) for e in enumerate_bursts(ctx, space))
+    pairs = [(c, e) for c, e in pairs if code.contains(c)]
+    return most, work, tuple((c, BurstPattern.from_word(e, tau)) for c, e in pairs[: ell + 1])
+
+
+@st.composite
+def nonlinear_codes(draw):
+    """Random codeword sets over GF(2, 3, 4, 5, 7, 8, 9), from one word
+    up, with tau, either window kind and at most 20000 pairs."""
+    q = draw(st.sampled_from(sorted(DECODE_FIELDS)))
+    n = draw(st.integers(1, 5))
+    tau = draw(st.integers(1, n))
+    phased = draw(st.booleans())
+    bursts = BurstSpace(n, tau, phased).count(q)
+    assume(bursts <= 20000)
+    word = st.tuples(*[st.integers(0, q - 1)] * n)
+    words = draw(st.lists(word, min_size=1, max_size=max(1, min(q**n, 40, 20000 // bursts))))
+    return ExplicitCode(DECODE_FIELDS[q], n, tuple(words)), tau, phased
+
+
+def test_one_scan_matches_sum_bucketing_on_nonlinear_codes():
+    """The scan keyed by the exchange check, with numpy and with numpy
+    blocked, against the tuple Counter; every witness replays."""
+    seen = set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(nonlinear_codes(), st.integers(1, 3))
+    def check(case, ell):
+        code, tau, phased = case
+        want = sum_bucketing(code, tau, phased, ell)
+        fast = max_list_size(code, tau, phased=phased, ell=ell)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(sys.modules, "numpy", None)
+            pure = max_list_size(code, tau, phased=phased, ell=ell)
+        for rep in (fast, pure):
+            assert (rep.max_list, rep.work, rep.witness) == want
+            if rep.witness is not None:
+                assert replay_witness(code, rep.witness, tau, phased)
+        words = set(code.codewords)
+        seen.add("refuted" if want[2] else "certified")
+        seen.add("one word" if code.size == 1 else "many words")
+        if any(_word_add(code.ctx, a, b) not in words for a in words for b in words):
+            seen.add("nonlinear")
+
+    check()
+    assert seen == {"refuted", "certified", "one word", "many words", "nonlinear"}
+
+
 def enumeration_witness(code, tau, phased, ell):
     """The first ell+1 bursts, in enumeration order, whose syndrome key is
     the smallest of the largest bucket, each paired with the codeword that
@@ -539,6 +611,7 @@ def test_scan_kernels_agree_with_sum_bucketing(case, phased, ell):
         mp.setitem(sys.modules, "numpy", None)
         pure = max_list_size(code, tau, phased=phased, ell=ell)
     explicit = max_list_size(expand(code), tau, phased=phased, ell=ell)
+    assert (explicit.max_list, explicit.work, explicit.witness) == sum_bucketing(expand(code), tau, phased, ell)
     assert fast.max_list == pure.max_list == explicit.max_list
     assert fast.work == pure.work
     assert fast.work["bursts"] == explicit.work["bursts"]
@@ -572,6 +645,14 @@ def test_import_does_not_load_numpy():
     assert subprocess.run([sys.executable, "-c", probe], env=env, timeout=120).returncode == 0
 
 
+def paired_words_code(ctx, n):
+    """Twelve random words and, for each, a copy with position 2 redrawn:
+    the largest 1-burst bucket holds two pairs."""
+    rng = random.Random(ctx.q)
+    words = [tuple(rng.randrange(ctx.q) for _ in range(n)) for _ in range(12)]
+    return ExplicitCode(ctx, n, tuple(words + [c[:2] + (rng.randrange(ctx.q),) + c[3:] for c in words]))
+
+
 @pytest.mark.parametrize(
     "q,n,r,tau,phased,h,k",
     [
@@ -582,23 +663,39 @@ def test_import_does_not_load_numpy():
         (27, 13, 8, 3, True, "rs", 2),
         (1009, 8, 6, 1, False, "rs", 2),
         (81, 12, 6, 2, False, "twice", 2),
+        (5, 4, None, 2, False, "ex1", 1),
+        (7, 6, 3, 2, True, "expanded", 1),
+        (1009, 6, None, 1, False, "random", 2),
     ],
-    ids=["gf8-phased", "gf7", "gf9", "gf81-r6", "gf27-r8-phased", "gf1009-r6", "gf81-repeated-columns"],
+    ids=[
+        "gf8-phased", "gf7", "gf9", "gf81-r6", "gf27-r8-phased", "gf1009-r6", "gf81-repeated-columns",
+        "ex1-gf5", "expanded-rs7-phased", "random-gf1009-n6",
+    ],
 )
 def test_numpy_scan_matches_pure(q, n, r, tau, phased, h, k):
     """The kernel on one int64 word (k = 1) and on k > 1 words, whose
     grids it turns into dense keys; "twice" is H = [I | I], whose
-    buckets hold the bursts at j and j + r together."""
+    buckets hold the bursts at j and j + r together. The explicit codes
+    key by the n x n exchange check, so GF(1009) at n = 6 has six lanes
+    of 11 bits, one more than an int64 word holds."""
     pytest.importorskip("numpy")
     ctx = field_from_order(q)
-    if h == "rs":
-        code = rs_code(ctx, n, r)
-    else:
-        code = LinearCode(ctx, n, Mat.from_rows(ctx, [[int(i == j % r) for j in range(n)] for i in range(r)]))
+    code = {
+        "rs": lambda: rs_code(ctx, n, r),
+        "twice": lambda: LinearCode(
+            ctx, n, Mat.from_rows(ctx, [[int(i == j % r) for j in range(n)] for i in range(r)])
+        ),
+        "ex1": lambda: example_code_1(ctx),
+        "expanded": lambda: expand(rs_code(ctx, n, r)),
+        "random": lambda: paired_words_code(ctx, n),
+    }[h]()
+    rows = code.r if isinstance(code, LinearCode) else code.n
     w = listdec._packing(ctx.p, 1)[0]
-    assert max(1, -(-r * ctx.m // (63 // w))) == k
+    assert max(1, -(-rows * ctx.m // (63 // w))) == k
     spans = list(anchored_spans(BurstSpace(n, tau, phased)))
-    assert listdec._scan_numpy(code, spans) == listdec._scan_pure(code, spans)
+    fast = listdec._scan_numpy(code, spans)
+    assert fast == listdec._scan_pure(code, spans)
+    assert h != "random" or fast[2] == 2
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 1009])
