@@ -16,14 +16,15 @@ largest bucket. A linear code's check is H, so every offset check*c is
 bucket holds the pairs summing to one word, one offset per codeword.
 
 The scan packs a syndrome's rows*m base-p digit lanes (lane m*i + k
-holds digit k of row i) into integers, adds them lane-wise mod p, and
-counts the keys in enumeration order. The pure-Python scan holds each
-syndrome in one int and is the fallback and the reference the tests
-compare against; when numpy is importable the same recursion runs on
-int64 words. The scan only counts: the refutation witness comes from
-decode, run on the worst word y, whose syndrome is the smallest key of
-the largest bucket (J puts position 0 in the top row, so for an explicit
-code y is the smallest word of the largest sum bucket).
+holds digit k of row i) into integers, adds them lane-wise mod p with
+the lane add the field build uses (gf._packing), and counts the keys in
+enumeration order. The pure-Python scan holds each syndrome in one int
+and is the fallback and the reference the tests compare against; when
+numpy is importable the same recursion runs on int64 words. The scan
+only counts: the refutation witness comes from decode, run on the worst
+word y, whose syndrome is the smallest key of the largest bucket (J
+puts position 0 in the top row, so for an explicit code y is the
+smallest word of the largest sum bucket).
 
 Detection is tested window by window, from the same tables: a nonzero
 tau-burst difference of two codewords lies inside some window of tau
@@ -32,7 +33,6 @@ consecutive positions.
 
 from __future__ import annotations
 
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -46,7 +46,7 @@ from .burst import (
     is_burst,
 )
 from .codes import CodeHandle, ExplicitCode, LinearCode
-from .gf import Fe
+from .gf import Fe, _packing, _spread
 from .matpoly import Mat, _null_basis_from_rref, mat_vec, rref, solve_affine, span_members
 
 
@@ -226,28 +226,6 @@ def detects_single_burst(code, tau: int, cap: int | None = None) -> bool:
 
 # -- certification -------------------------------------------------------
 
-def _packing(p: int, lanes: int):
-    """(w, add, key) for syndromes whose base-p digit lanes are packed at
-    w bits per lane. For p = 2, w = 1 and add is XOR; otherwise w is the
-    least with p <= 2^(w-1), so adding 2^(w-1) - p to a lane sum (at most
-    2p - 2) sets its bit w-1, without spilling into the next lane, iff
-    the sum reached p. add takes Python ints, and int64 arrays when
-    lanes <= 63 // w. key(s) is sum(digit * p^lane), and packed order is
-    key order: both compare the top lane first."""
-    w = 1 if p == 2 else (p - 1).bit_length() + 1
-    ones = sum(1 << (w * lane) for lane in range(lanes))
-    carry = ones * ((1 << (w - 1)) - p)
-
-    def add(a, b):
-        s = a + b
-        return s - ((s + carry) >> (w - 1) & ones) * p
-
-    def key(s: int) -> int:
-        return sum((s >> (w * lane) & (1 << w) - 1) * p**lane for lane in range(lanes))
-
-    return w, operator.xor if p == 2 else add, key
-
-
 def _check(code) -> Mat:
     """The scan's check: H, or for an explicit code the exchange matrix J."""
     if isinstance(code, LinearCode):
@@ -262,7 +240,7 @@ def _column_tables(code, w: int):
     per codeword (J gives each position its own lanes, so a sum packs)."""
     ctx, h = code.ctx, _check(code)
     p, m = ctx.p, ctx.m
-    spread = [sum(x // p**k % p << (w * k) for k in range(m)) for x in range(ctx.q)]
+    spread = [_spread(x, p, m) for x in ctx.elements()]
     tabs = [
         [sum(spread[ctx.mul(d, h.at(i, j))] << (w * m * i) for i in range(h.rows)) for d in range(ctx.q)]
         for j in range(code.n)

@@ -201,15 +201,18 @@ def _t_scan_order(mu_i: int, mu_k: int):
 def find_ratio_collision(inst: ResultantInstance) -> tuple[int, int, int] | None:
     """A triple (i, k, t) with beta_k / beta_i = alpha^t and
     -mu_i < t < mu_k, or None. Deterministic scan: smallest (i, k, |t|)
-    with the nonnegative t tried first on ties."""
-    ctx = inst.ctx
+    with the nonnegative t tried first on ties. Compares discrete logs:
+    t * log(alpha) = log(beta_k) - log(beta_i) mod q - 1."""
+    n1 = inst.ctx.q - 1
+    la = inst.ctx.log(inst.alpha)
+    logs = [inst.ctx.log(b) for b in inst.beta]
     for i in range(inst.ell + 1):
         for k in range(inst.ell + 1):
             if k == i:
                 continue
-            ratio = ctx.div(inst.beta[k], inst.beta[i])
+            ratio = (logs[k] - logs[i]) % n1
             for t in _t_scan_order(inst.mu[i], inst.mu[k]):
-                if ratio == ctx.pow(inst.alpha, t):
+                if t * la % n1 == ratio:
                     return (i, k, t)
     return None
 

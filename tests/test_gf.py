@@ -12,6 +12,7 @@ from burstkit import (
     field_from_order,
     field_new,
 )
+from burstkit.gf import MAX_FIELD_SIZE, _prime_factors
 
 
 # -- independent oracles -------------------------------------------------
@@ -62,6 +63,93 @@ def oracle_order(x, p):
     return d
 
 
+# -- the digit-list field build, kept as the reference for the lane build --
+
+def oracle_digits(v, p, n):
+    out = []
+    for _ in range(n):
+        v, d = divmod(v, p)
+        out.append(d)
+    return out
+
+
+def oracle_pmod(a, mod, p):
+    """a mod the monic mod, digit lists lowest degree first."""
+    a = list(a)
+    while len(a) >= len(mod):
+        c, off = a.pop(), len(a) + 1 - len(mod)
+        if c:
+            for j in range(len(mod) - 1):
+                a[off + j] = (a[off + j] - c * mod[j]) % p
+    return a
+
+
+def oracle_irreducible(f, p):
+    """Trial division by every monic polynomial of degree 1..deg/2."""
+    m = len(f) - 1
+    return all(
+        any(oracle_pmod(f, oracle_digits(v, p, d) + [1], p))
+        for d in range(1, m // 2 + 1)
+        for v in range(p**d)
+    )
+
+
+def oracle_mul(p, modulus):
+    """The product of two canonical indices: a digit-list convolution
+    reduced mod the modulus, or the integer product mod p for m = 1."""
+    m = len(modulus) - 1
+    if m == 1:
+        return lambda a, b: a * b % p
+
+    def mul(a, b):
+        prod, ys = [0] * (2 * m - 1), oracle_digits(b, p, m)
+        for i, x in enumerate(oracle_digits(a, p, m)):
+            if x:
+                for j, y in enumerate(ys):
+                    prod[i + j] = (prod[i + j] + x * y) % p
+        return sum(d * p**k for k, d in enumerate(oracle_pmod(prod, modulus, p)))
+
+    return mul
+
+
+def oracle_power(mul, x, e):
+    r = 1
+    while e:
+        if e & 1:
+            r = mul(r, x)
+        x, e = mul(x, x), e >> 1
+    return r
+
+
+def oracle_digit_list_build(p, m, modulus=None):
+    """(modulus, generator, exp, log, zech) as the digit-list build makes
+    them: the first irreducible modulus, the least element of full order,
+    and the exp table by repeated multiplication."""
+    if modulus is None:
+        modulus = next(
+            tuple(f) for v in range(p**m) if oracle_irreducible(f := oracle_digits(v, p, m) + [1], p)
+        )
+    mul, q = oracle_mul(p, modulus), p**m
+    gen = 1
+    if q > 2:
+        facs = _prime_factors(q - 1)
+        gen = next(g for g in range(2, q) if all(oracle_power(mul, g, (q - 1) // f) != 1 for f in facs))
+    exp = [1] * (q - 1)
+    for i in range(1, q - 1):
+        exp[i] = mul(exp[i - 1], gen)
+    log = [0] * q
+    for i, v in enumerate(exp):
+        log[v] = i
+    zech = None
+    if p > 2 and m > 1:
+        zech = [log[y] if y else -1 for y in (x - x % p + (x % p + 1) % p for x in exp)]
+    return modulus, gen, exp, log, zech
+
+
+def tables(f):
+    return f.modulus, f.generator, f._exp, f._log, f._zech
+
+
 def test_gf2_trivial():
     f = field_new(2, 1)
     assert (f.p, f.m, f.q) == (2, 1, 2)
@@ -110,16 +198,58 @@ def test_element_order_examples(fields):
         f7.order(0)
 
 
-def _all_small_fields():
+def _all_small_fields(limit=256):
     out = []
-    for p in range(2, 257):
-        if any(p % d == 0 for d in range(2, p)):
+    for p in range(2, limit + 1):
+        if any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
             continue
         m = 1
-        while p**m <= 256:
+        while p**m <= limit:
             out.append((p, m))
             m += 1
     return out
+
+
+def test_lane_build_matches_digit_list_build():
+    """Modulus, generator and the exp/log/Zech tables equal the digit-list
+    build's for every field of size at most 2^12, GF(2^16) and GF(3^8)."""
+    for p, m in _all_small_fields(1 << 12) + [(2, 16), (3, 8)]:
+        assert tables(field_new(p, m)) == oracle_digit_list_build(p, m), (p, m)
+
+
+@pytest.mark.parametrize("p,m", [(2, 4), (2, 8), (3, 3), (5, 2), (7, 2), (3, 5)])
+def test_lane_build_matches_digit_list_build_for_every_modulus(p, m):
+    """Each monic irreducible modulus of the field, given by the user
+    through field_from_dict, builds the digit-list build's tables."""
+    moduli = [f for v in range(p**m) if oracle_irreducible(f := oracle_digits(v, p, m) + [1], p)]
+    assert len(moduli) > 1
+    for modulus in moduli:
+        f = field_from_dict({"p": p, "m": m, "modulus": modulus})
+        assert tables(f) == oracle_digit_list_build(p, m, tuple(modulus)), modulus
+
+
+@pytest.mark.parametrize("p,m", [(2, 20), (3, 12)])
+def test_fields_at_the_cap(p, m):
+    """GF(2^20) and GF(3^12): the generator has order q - 1 under the
+    digit-list product, and products, sums and inverses from the tables
+    agree with it and obey the field axioms on 3000 seeded triples."""
+    f = field_new(p, m)
+    q = f.q
+    assert q <= MAX_FIELD_SIZE < q * p
+    mul = oracle_mul(p, f.modulus)
+    assert oracle_power(mul, f.generator, q - 1) == 1
+    assert all(oracle_power(mul, f.generator, (q - 1) // r) != 1 for r in _prime_factors(q - 1))
+    rng = random.Random(q)
+    for _ in range(3000):
+        a, b, c = (rng.randrange(q) for _ in range(3))
+        assert f.mul(a, b) == mul(a, b) == f.mul(b, a)
+        assert f.add(a, b) == digitwise_add(a, b, p) == f.add(b, a)
+        assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
+        assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
+        assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+        assert f.sub(f.add(a, b), b) == a
+        if a:
+            assert f.mul(a, f.inv(a)) == 1
 
 
 def test_field_axioms_exhaustive_pairs():

@@ -29,6 +29,7 @@ from burstkit import (
     expand,
     field_from_order,
     field_new,
+    gf,
     is_burst,
     listdec,
     max_list_size,
@@ -690,7 +691,7 @@ def test_numpy_scan_matches_pure(q, n, r, tau, phased, h, k):
         "random": lambda: paired_words_code(ctx, n),
     }[h]()
     rows = code.r if isinstance(code, LinearCode) else code.n
-    w = listdec._packing(ctx.p, 1)[0]
+    w = gf._packing(ctx.p, 1)[0]
     assert max(1, -(-rows * ctx.m // (63 // w))) == k
     spans = list(anchored_spans(BurstSpace(n, tau, phased)))
     fast = listdec._scan_numpy(code, spans)
@@ -703,9 +704,9 @@ def test_packed_add_fills_an_int64_word(p):
     """add on int64 arrays of 63 // w lanes: every lane at (p-1) + (p-1),
     which needs the top lane's headroom, then random lanes."""
     np = pytest.importorskip("numpy")
-    w = listdec._packing(p, 1)[0]
+    w = gf._packing(p, 1)[0]
     lanes = 63 // w
-    add = listdec._packing(p, lanes)[1]
+    add = gf._packing(p, lanes)[1]
     rng = random.Random(p)
     a, b = ([[p - 1] * lanes] + [[rng.randrange(p) for _ in range(lanes)] for _ in range(500)] for _ in "ab")
 
@@ -720,9 +721,9 @@ def test_packed_add_fills_an_int64_word(p):
 def test_packed_add_is_digitwise_addition_mod_p(p):
     """Every pair of two-lane digit vectors for small p, 2000 random pairs
     of six-lane vectors for p = 1009, and lanes exactly as wide as the
-    carry flag needs."""
+    carry flag needs; _spread inverts key."""
     lanes = 2 if p < 100 else 6
-    w, add, key = listdec._packing(p, lanes)
+    w, add, key = gf._packing(p, lanes)
     if p == 2:
         assert w == 1
     else:
@@ -741,3 +742,4 @@ def test_packed_add_is_digitwise_addition_mod_p(p):
         total = [(x + y) % p for x, y in zip(a, b)]
         assert add(pack(a), pack(b)) == pack(total)
         assert key(pack(total)) == sum(d * p**lane for lane, d in enumerate(total))
+        assert gf._spread(key(pack(total)), p, lanes) == pack(total)

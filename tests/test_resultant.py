@@ -171,6 +171,39 @@ def test_ratio_collision_examples():
     assert find_ratio_collision(ins) == (0, 1, 1)
 
 
+def power_scan(inst):
+    """find_ratio_collision's contract by powering: the first (i, k, t),
+    t in (-mu_i, mu_k) by |t| with t >= 0 first, where
+    beta_k / beta_i = alpha^t."""
+    ctx = inst.ctx
+    for i in range(inst.ell + 1):
+        for k in range(inst.ell + 1):
+            if k == i:
+                continue
+            for t in sorted(range(1 - inst.mu[i], inst.mu[k]), key=lambda t: (abs(t), t < 0)):
+                if ctx.div(inst.beta[k], inst.beta[i]) == ctx.pow(inst.alpha, t):
+                    return (i, k, t)
+    return None
+
+
+def test_ratio_collision_matches_the_power_scan():
+    """The discrete-log comparison returns the power scan's triple on
+    random and boundary instances over prime and extension fields."""
+    rng = random.Random(101)
+    seen = set()
+    for p, m in ((13, 1), (2, 4), (3, 3), (17, 1), (3, 4)):
+        ctx = field_new(p, m)
+        for kind in (None, "-mu_i", "mu_k-1", "mu_k"):
+            for _ in range(60):
+                ell = rng.randint(1, 3)
+                r = rng.randint(ell + 1, 9)
+                inst = sample_instance(ctx, rng, ell, r) if kind is None else boundary_instance(ctx, rng, ell, r, kind)
+                found = find_ratio_collision(inst)
+                assert found == power_scan(inst)
+                seen.add(found is None)
+    assert seen == {True, False}
+
+
 def test_kernel_relation_examples():
     f5 = field_new(5, 1)
     nonsing = ResultantInstance(f5, 2, (1, 1), (1, 3))
