@@ -56,8 +56,9 @@ class LinearCode:
 
     @cached_property
     def _window_tables(self) -> dict:
-        """listdec's per-window decoding tables, keyed by (tau, phased)
-        and filled on first use."""
+        """listdec's per-window decoding tables, keyed by (tau, phased),
+        and its packed decode tables, keyed by (tau, phased, "packed");
+        filled on first use."""
         return {}
 
     def syndrome(self, w) -> tuple[Fe, ...]:

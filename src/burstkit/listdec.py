@@ -3,12 +3,18 @@ list-size certification.
 
 decode(y) returns exactly the codewords within a single tau-burst of y
 (the set-valued complete decoder; words near no codeword decode to the
-empty set). It reads one table per window, built on first use for each
-(tau, phased) and cached on the code object: for a linear code the
-window's RREF transform, which maps the syndrome to the window's
-payloads with no elimination per word; for an explicit code the
-codewords grouped by what is left once the window's positions are
-deleted, so y is looked up rather than compared with every codeword.
+empty set). It reads tables built on first use for each (tau, phased)
+and cached on the code object. For a linear code each window has an
+RREF transform E, and E*H*y gives the window's payloads with no
+elimination per word. Every window's E is stacked into E_all, and H and
+E_all are kept as packed-lane tables per column and chunk of an
+element: a decode adds one table entry per chunk of y to get H*y, one
+per chunk of each syndrome row to get E_all*H*y, then tests each
+window's annihilator lanes for zero and reads each pivot's lanes, with
+no field operation before the candidates are formed. For an explicit
+code the codewords are grouped by what is left once the window's
+positions are deleted, so y is looked up rather than compared with
+every codeword.
 Certification never scans received words. One scan keys every sum
 c + e of a codeword and a tau-burst by check*c + check*e and reads the
 largest bucket. A linear code's check is H, so every offset check*c is
@@ -33,6 +39,7 @@ consecutive positions.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -46,8 +53,8 @@ from .burst import (
     is_burst,
 )
 from .codes import CodeHandle, ExplicitCode, LinearCode
-from .gf import Fe, _packing, _spread
-from .matpoly import Mat, _null_basis_from_rref, mat_vec, rref, solve_affine, span_members
+from .gf import Fe, _outer_table, _packing, _spread, _width
+from .matpoly import Mat, _null_basis_from_rref, rref, solve_affine, span_members
 
 
 @dataclass
@@ -116,16 +123,18 @@ def decode(code, y, tau: int, phased: bool = False, cap: int | None = None) -> L
 def _decode_linear(code: LinearCode, y: Word, tau: int, space: BurstSpace, cap) -> ListDecodeResult:
     ctx = code.ctx
     limit = _caps.solutions_cap(cap)
-    syn = code.syndrome(y)
+    radix, cols, rows, add_s, add, lane, index = _packed_tables(code, tau, space.phased)
+    s, w = _apply(cols, radix, add_s, y), lane.bit_length()  # H*y as packed lanes
+    z = _apply(rows, radix, add, [index(s >> w * k & lane) for k in range(code.r)])  # E_all*H*y
     found: dict[Word, BurstPattern] = {}
     stats: dict[int, int] = {}
-    for win, pivots, solve, annihilator, basis in _window_table(code, tau, space.phased):
-        if any(mat_vec(annihilator, syn)):
+    for win, pivots, basis, _, offsets, mask in _window_table(code, tau, space.phased):
+        if z & mask:
             stats[win.start] = 0
             continue
         particular = [0] * len(win)
-        for c, z in zip(pivots, mat_vec(solve, syn)):
-            particular[c] = z
+        for c, at in zip(pivots, offsets):
+            particular[c] = index(z >> at & lane)
         _caps.check("window solution set q^b", ctx.q ** len(basis), limit)
         members = span_members(ctx, particular, basis)
         for ew in members:
@@ -134,8 +143,7 @@ def _decode_linear(code: LinearCode, y: Word, tau: int, space: BurstSpace, cap) 
                 e = (0,) * win.start + ew + (0,) * (code.n - win.stop)
                 found[c] = BurstPattern.from_word(e, tau)
         stats[win.start] = len(members)
-    candidates = sorted(found.items())
-    return ListDecodeResult(candidates, stats)
+    return ListDecodeResult(sorted(found.items()), stats)
 
 
 def _decode_explicit(code: ExplicitCode, y: Word, tau: int, space: BurstSpace, cap) -> ListDecodeResult:
@@ -149,38 +157,43 @@ def _decode_explicit(code: ExplicitCode, y: Word, tau: int, space: BurstSpace, c
             if c not in found:
                 found[c] = BurstPattern.from_word(_word_sub(ctx, y, c), tau)
         stats[win.start] = len(hits)
-    candidates = sorted(found.items())
-    return ListDecodeResult(candidates, stats)
+    return ListDecodeResult(sorted(found.items()), stats)
 
 
 # -- window tables --------------------------------------------------------
 
 class _LinearWindow(NamedTuple):
-    """One window W of a linear code, from rref([H_W | I_r]) = [R | E].
+    """Window t of a linear code, from rref([H_W | I_r]) = [R | E].
 
-    E is invertible and E*H_W = R = rref(H_W), so for a syndrome S and
-    z = E*S the RREF of the system H_W*u = S is [R | z]: it is consistent
-    iff z is zero past the rank (the annihilator rows of E, which span
-    the left null space of H_W), its particular solution holds z[i] at
-    pivot i (the solve rows, the first rank rows of E), and basis is the
-    canonical null basis of H_W.
+    E is invertible and E*H_W = R = rref(H_W), so with z = E*H*y the RREF
+    of the system H_W*u = H*y is [R | z]: it is consistent iff z is zero
+    past the rank (the annihilator rows of E, which span the left null
+    space of H_W), its particular solution holds z[i] at pivot i (the
+    solve rows, the first rank rows of E), and basis is the canonical
+    null basis of H_W. e holds E's rows. In the decoder's packed sum the
+    window's rows take m lanes each from bit t*r*m*w: offsets are the
+    solve rows', and mask covers the annihilator rows.
     """
 
     win: range
     pivots: tuple[int, ...]
-    solve: Mat
-    annihilator: Mat
     basis: list[list[Fe]]
+    e: list[list[Fe]]
+    offsets: tuple[int, ...]
+    mask: int
 
 
-def _linear_window(code: LinearCode, win: range) -> _LinearWindow:
+def _linear_window(code: LinearCode, win: range, t: int) -> _LinearWindow:
     ctx, r, width = code.ctx, code.r, len(win)
     rows = [[code.H.at(i, j) for j in win] + [int(i == k) for k in range(r)] for i in range(r)]
     red, pivots = rref(Mat.from_rows(ctx, rows, cols=width + r))
     pivots = tuple(c for c in pivots if c < width)
+    lane, rank = _width(ctx.p) * ctx.m, len(pivots)
+    solved = t * r * lane + rank * lane  # the first annihilator row's bit
     e = [red.row(i)[width:] for i in range(r)]
-    solve, annihilator = (Mat.from_rows(ctx, part, cols=r) for part in (e[: len(pivots)], e[len(pivots) :]))
-    return _LinearWindow(win, pivots, solve, annihilator, _null_basis_from_rref(red, pivots, width))
+    offsets = tuple(range(solved - rank * lane, solved, lane))
+    mask = (1 << lane * (r - rank)) - 1 << solved
+    return _LinearWindow(win, pivots, _null_basis_from_rref(red, pivots, width), e, offsets, mask)
 
 
 def _window_table(code, tau: int, phased: bool) -> list:
@@ -192,7 +205,7 @@ def _window_table(code, tau: int, phased: bool) -> list:
     if table is None:
         windows = BurstSpace(code.n, tau, phased).windows
         if isinstance(code, LinearCode):
-            table = [_linear_window(code, win) for win in windows]
+            table = [_linear_window(code, win, t) for t, win in enumerate(windows)]
         else:
             table = []
             for win in windows:
@@ -202,6 +215,91 @@ def _window_table(code, tau: int, phased: bool) -> list:
                 table.append((win, by_rest))
         code._window_tables[(tau, phased)] = table
     return table
+
+
+def _lanes(ctx):
+    """(spread, index): an element's base-p digits as packed lanes
+    (gf._spread) and back, by tables of g digits or g lanes at a time
+    (2^(w*g) <= 4096); both are int, the identity, unless p^m is odd
+    with m > 1."""
+    p, m = ctx.p, ctx.m
+    if p == 2 or m == 1:
+        return int, int
+    w = _width(p)
+    g = max(1, 12 // w)
+    spread = _chunk_tables(ctx, operator.add, lambda u: _spread(u, p, m), p**g)
+    index = [
+        _outer_table(operator.add, [p**k for k in range(j, min(j + g, m))], p, 1 << w) for j in range(0, m, g)
+    ]
+    return (
+        lambda x: _apply([spread], p**g, operator.add, [x]),
+        lambda v: _apply([index], 1 << w * g, operator.add, [v]),
+    )
+
+
+def _chunk_tables(ctx, add, image, radix: int) -> list[list[int]]:
+    """Tables of a GF(p)-linear map f from GF(q) to packed lanes, given
+    on units by image, one per base-radix chunk of an element's index:
+    tabs[k][d] = f(d * radix^k). For m > 1 radix is a power of p, so a
+    chunk is a group of coefficients; for a prime field f(d * radix^k)
+    is d * f(radix^k)."""
+    q = ctx.q
+    base = ctx.p if ctx.m > 1 else radix
+    tabs, unit = [], 1
+    while unit < q:
+        top, images = unit * radix, []
+        while unit < min(top, q):
+            images.append(image(unit))
+            unit *= base
+        tabs.append(_outer_table(add, images, base))
+    return tabs
+
+
+def _matrix_tables(ctx, h: Mat, add, radix: int) -> list[list[list[int]]]:
+    """Per column j of h, the chunk tables of u -> h[:, j]*u as packed
+    lanes, entry i in lanes m*i .. m*i + m - 1."""
+    spread, shift = _lanes(ctx)[0], _width(ctx.p) * ctx.m
+
+    def column(j: int):
+        return lambda u: sum(spread(ctx.mul(h.at(i, j), u)) << shift * i for i in range(h.rows))
+
+    return [_chunk_tables(ctx, add, column(j), radix) for j in range(h.cols)]
+
+
+def _apply(tabs, radix: int, add, word) -> int:
+    """sum_j f_j(word[j]), from the chunk tables of each map f_j."""
+    z = 0
+    for chunks, x in zip(tabs, word):
+        for tab in chunks:
+            x, d = divmod(x, radix)
+            z = add(z, tab[d])
+    return z
+
+
+def _packed_tables(code: LinearCode, tau: int, phased: bool):
+    """(radix, cols, rows, add_s, add, lane, index), built on first
+    decode and cached next to the window table. With E_all every
+    window's E stacked, cols and rows are the chunk tables of H and of
+    E_all, so a decode adds one entry per chunk of y for H*y (r*m lanes,
+    add_s) and one per chunk of each syndrome row for E_all*H*y (add).
+    radix is at most 256, or p for m > 1 and p > 256. lane masks one
+    row's m lanes, and index maps them to the element. Going through
+    H*y keeps the tables linear in n: n position tables of E_all*H, each
+    entry as wide as E_all, would grow as n^2 (103 MiB against 5 MiB for
+    an RS code over GF(256) with n = 255, r = 6, tau = 4)."""
+    key = (tau, phased, "packed")
+    if key not in code._window_tables:
+        ctx, p, m = code.ctx, code.ctx.p, code.ctx.m
+        e_all = [row for win in _window_table(code, tau, phased) for row in win.e]
+        w, add, _ = _packing(p, len(e_all) * m)
+        add_s = _packing(p, code.r * m)[1]
+        radix = p if m > 1 else min(p, 256)
+        while m > 1 and radix * p <= 256:
+            radix *= p
+        cols = _matrix_tables(ctx, code.H, add_s, radix)
+        rows = _matrix_tables(ctx, Mat.from_rows(ctx, e_all, cols=code.r), add, radix)
+        code._window_tables[key] = (radix, cols, rows, add_s, add, (1 << w * m) - 1, _lanes(ctx)[1])
+    return code._window_tables[key]
 
 
 # -- detection ----------------------------------------------------------
@@ -233,18 +331,14 @@ def _check(code) -> Mat:
     return Mat.from_rows(code.ctx, [[int(i + j == code.n - 1) for j in range(code.n)] for i in range(code.n)])
 
 
-def _column_tables(code, w: int):
+def _column_tables(code):
     """(offsets, tabs): tabs[j][d] is the syndrome of digit d at position
     j, as rows*m base-p digit lanes (lane m*i + k holds digit k of row i)
-    at w bits each; offsets holds check*c, [0] for a linear code, else one
-    per codeword (J gives each position its own lanes, so a sum packs)."""
+    at gf._width(p) bits each (one chunk table of radix q); offsets holds
+    check*c, [0] for a linear code, else one per codeword (J gives each
+    position its own lanes, so a sum packs)."""
     ctx, h = code.ctx, _check(code)
-    p, m = ctx.p, ctx.m
-    spread = [_spread(x, p, m) for x in ctx.elements()]
-    tabs = [
-        [sum(spread[ctx.mul(d, h.at(i, j))] << (w * m * i) for i in range(h.rows)) for d in range(ctx.q)]
-        for j in range(code.n)
-    ]
+    tabs = [chunks[0] for chunks in _matrix_tables(ctx, h, _packing(ctx.p, h.rows * ctx.m)[1], ctx.q)]
     if isinstance(code, LinearCode):
         return [0], tabs
     return [sum(tab[x] for tab, x in zip(tabs, c)) for c in code.codewords], tabs
@@ -255,8 +349,8 @@ def _pure_syndromes(code, spans):
     order: the offsets for the zero burst, then per anchored span the
     outer sum of its column tables and the offsets, from the last column
     back; the first column takes nonzero digits only."""
-    w, add, _ = _packing(code.ctx.p, _check(code).rows * code.ctx.m)
-    offsets, tabs = _column_tables(code, w)
+    add = _packing(code.ctx.p, _check(code).rows * code.ctx.m)[1]
+    offsets, tabs = _column_tables(code)
     yield offsets
     for start, width in spans:
         acc = offsets
@@ -310,7 +404,7 @@ def _scan_numpy(code, spans):
             grid = grid * p + (words[lane // per] >> (w * (lane % per)) & (1 << w) - 1)
         return grid
 
-    offsets, tabs = _column_tables(code, w)
+    offsets, tabs = _column_tables(code)
     offsets, tabs = split(offsets), [split(tab) for tab in tabs]
     q, size = code.ctx.q, offsets[0].size
     keys = np.empty(size * (1 + sum((q - 1) * q ** (width - 1) for _, width in spans)), dtype=np.int64)

@@ -416,15 +416,17 @@ def near_words(draw, ctx, n, tau, codeword):
 
 
 @st.composite
-def linear_decode_cases(draw):
-    """A random full-rank H over GF(2, 3, 4, 5, 7, 8, 9), r = 0 included,
-    with tau up to n (windows wider than r are rank-deficient), a word
-    near a codeword, either window kind and a cap that may fire."""
-    q = draw(st.sampled_from(sorted(DECODE_FIELDS)))
-    ctx = DECODE_FIELDS[q]
+def linear_decode_cases(draw, ctxs=DECODE_FIELDS, by_rank=False):
+    """A random full-rank H over one of ctxs (GF(2, 3, 4, 5, 7, 8, 9) by
+    default), r = 0 included, with tau up to n (windows wider than r are
+    rank-deficient) while q^tau <= 729, or q^(tau - r) <= 729 when by_rank
+    is set, a word near a codeword, either window kind and a cap that may
+    fire."""
+    q = draw(st.sampled_from(sorted(ctxs)))
+    ctx = ctxs[q]
     n = draw(st.integers(1, 7))
     r = draw(st.integers(0, min(4, n)))
-    tau = draw(st.integers(1, max(t for t in range(1, n + 1) if q**t <= 729)))
+    tau = draw(st.integers(1, max(t for t in range(1, n + 1) if q ** (t - by_rank * min(t, r)) <= 729)))
     data = draw(st.lists(st.integers(0, q - 1), min_size=r * n, max_size=r * n))
     try:
         code = LinearCode(ctx, n, Mat(ctx, r, n, data))
@@ -439,11 +441,13 @@ def linear_decode_cases(draw):
     return code, y, tau, draw(st.booleans()), draw(st.one_of(st.none(), st.integers(0, 30)))
 
 
-def test_linear_decode_matches_solve_affine_oracle():
+def linear_decode_coverage(cases, examples: int) -> set:
+    """Decode every case and the solve_affine oracle agree; returns the
+    kinds of case seen."""
     seen = set()
 
-    @settings(max_examples=400, deadline=None)
-    @given(linear_decode_cases())
+    @settings(max_examples=examples, deadline=None)
+    @given(cases)
     def check(case):
         code, y, tau, phased, cap = case
         got = decode_outcome(decode, code, y, tau, phased, cap)
@@ -463,7 +467,53 @@ def test_linear_decode_matches_solve_affine_oracle():
             seen.add("list")
 
     check()
+    return seen
+
+
+def test_linear_decode_matches_solve_affine_oracle():
+    seen = linear_decode_coverage(linear_decode_cases(), 400)
     assert seen == {"cap", "decoded", "rank-deficient", "r=0", "clipped", "list"}
+
+
+def test_multi_chunk_decode_matches_solve_affine_oracle(fields):
+    """GF(2^9), GF(3^6) and GF(257) split each element into two chunks
+    (radix 256, 243 and 256), so every decode adds two table entries
+    per position and, for GF(3^6), converts lanes to an index."""
+    big = {q: fields[q] for q in (512, 729, 257)}
+    for ctx in big.values():
+        code = LinearCode(ctx, 2, Mat(ctx, 1, 2, [1, 2]))
+        radix, tabs = listdec._packed_tables(code, 1, False)[:2]
+        assert radix < ctx.q <= radix**2 and all(len(chunks) == 2 for chunks in tabs)
+    seen = linear_decode_coverage(linear_decode_cases(big, by_rank=True), 100)
+    # clipped windows are rare under q^(tau - r) <= 729; the phased planted
+    # words over GF(2^16) and GF(2^20) below end in one
+    assert seen >= {"cap", "decoded", "rank-deficient", "r=0", "list"}
+
+
+@pytest.mark.parametrize(
+    "q,n,r,tau",
+    [(1 << 16, 17, 6, 4), (3**8, 20, 5, 4), (65521, 12, 4, 3), (1 << 20, 11, 4, 3), (257**2, 8, 3, 2)],
+)
+def test_planted_word_over_a_large_field(fields, q, n, r, tau):
+    """A codeword plus a burst in an aligned window decodes to a list
+    that holds the codeword and equals the oracle's, both window kinds;
+    GF(257^2) takes one chunk of radix p per coefficient."""
+    ctx = fields[q]
+    code = rs_code(ctx, n, r)
+    rng = random.Random(q)
+    gen = code.generator_matrix()
+    c = [0] * n
+    for i in range(gen.rows):
+        a = rng.randrange(q)
+        c = [ctx.add(x, ctx.mul(a, g)) for x, g in zip(c, gen.row(i))]
+    y = list(c)
+    start = tau * rng.randrange(n // tau)
+    for j in range(start, start + tau):
+        y[j] = ctx.add(y[j], rng.randrange(1, q))
+    for phased in (False, True):
+        got = decode(code, y, tau, phased)
+        assert got == solve_affine_decode(code, y, tau, phased)
+        assert tuple(c) in dict(got.candidates)
 
 
 @st.composite
