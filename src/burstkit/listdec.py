@@ -54,7 +54,7 @@ from .burst import (
 )
 from .codes import CodeHandle, ExplicitCode, LinearCode
 from .gf import Fe, _outer_table, _packing, _spread, _width
-from .matpoly import Mat, _null_basis_from_rref, rref, solve_affine, span_members
+from .matpoly import Mat, _null_basis_from_rref, _rref_rows, solve_affine, span_members
 
 
 @dataclass
@@ -186,14 +186,13 @@ class _LinearWindow(NamedTuple):
 def _linear_window(code: LinearCode, win: range, t: int) -> _LinearWindow:
     ctx, r, width = code.ctx, code.r, len(win)
     rows = [[code.H.at(i, j) for j in win] + [int(i == k) for k in range(r)] for i in range(r)]
-    red, pivots = rref(Mat.from_rows(ctx, rows, cols=width + r))
-    pivots = tuple(c for c in pivots if c < width)
+    pivots = tuple(c for c in _rref_rows(ctx, rows, width + r) if c < width)
     lane, rank = _width(ctx.p) * ctx.m, len(pivots)
     solved = t * r * lane + rank * lane  # the first annihilator row's bit
-    e = [red.row(i)[width:] for i in range(r)]
+    e = [row[width:] for row in rows]
     offsets = tuple(range(solved - rank * lane, solved, lane))
     mask = (1 << lane * (r - rank)) - 1 << solved
-    return _LinearWindow(win, pivots, _null_basis_from_rref(red, pivots, width), e, offsets, mask)
+    return _LinearWindow(win, pivots, _null_basis_from_rref(ctx, rows, pivots, width), e, offsets, mask)
 
 
 def _window_table(code, tau: int, phased: bool) -> list:

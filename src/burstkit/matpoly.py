@@ -3,8 +3,10 @@
 Polynomials are tuples of element indices, lowest degree first, with no
 trailing zeros; the zero polynomial is the empty tuple and its degree is
 the distinguished NEG_INF marker. Matrices are dense and small (nothing
-in scope exceeds a few hundred rows), so plain Gaussian elimination with
-explicit row-swap sign tracking is exact and fast enough.
+in scope exceeds a few hundred rows). One forward elimination gives the
+determinant (the signed pivot product) and the rank (the pivot count);
+one back-substitution pass on top of it gives the reduced forms: RREF,
+null spaces and affine solves.
 """
 
 from __future__ import annotations
@@ -156,13 +158,9 @@ class Mat:
         return f"Mat({self.rows}x{self.cols} over {self.ctx!r})"
 
 
-def _check_same_field(a: Mat, b: Mat) -> None:
+def mat_mul(a: Mat, b: Mat) -> Mat:
     if a.ctx != b.ctx:
         raise ValueError("matrices live over different fields")
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    _check_same_field(a, b)
     if a.cols != b.rows:
         raise ValueError("inner dimensions do not match")
     ctx = a.ctx
@@ -214,82 +212,85 @@ def vstack(mats: list[Mat]) -> Mat:
     return Mat(ctx, rows, cols, flat)
 
 
+def _echelon(ctx: FieldCtx, rows: list[list[Fe]], cols: int) -> tuple[list[int], Fe]:
+    """Forward elimination of rows in place: each column pivots on its
+    first nonzero entry at or below the next pivot row, and the rows below
+    add multiples of the pivot row, skipping zero entries. Returns the
+    pivot columns and the signed pivot product (0 if a column has none).
+    """
+    add, mul = ctx.add, ctx.mul
+    pivots: list[int] = []
+    det = 1
+    for c in range(cols):
+        pr = len(pivots)
+        sel = next((i for i in range(pr, len(rows)) if rows[i][c]), None)
+        if sel is None:
+            det = 0
+            continue
+        if sel != pr:
+            rows[pr], rows[sel] = rows[sel], rows[pr]
+            det = ctx.neg(det)
+        prow = rows[pr]
+        det = mul(det, prow[c])
+        neg_inv = ctx.neg(ctx.inv(prow[c]))
+        for i in range(pr + 1, len(rows)):
+            if rows[i][c]:
+                f = mul(rows[i][c], neg_inv)
+                rows[i] = [add(x, mul(f, y)) if y else x for x, y in zip(rows[i], prow)]
+        pivots.append(c)
+    return pivots, det
+
+
+def _rref_rows(ctx: FieldCtx, rows: list[list[Fe]], cols: int) -> tuple[int, ...]:
+    """Reduce rows in place to reduced row-echelon form and return the
+    pivot columns: the forward elimination, then one back-substitution
+    pass that scales each pivot row to 1 and clears the entries above it."""
+    pivots, _ = _echelon(ctx, rows, cols)
+    add, mul = ctx.add, ctx.mul
+    for k, c in reversed(list(enumerate(pivots))):
+        inv = ctx.inv(rows[k][c])
+        rows[k] = prow = [mul(inv, x) for x in rows[k]]
+        for i in range(k):
+            if rows[i][c]:
+                f = ctx.neg(rows[i][c])
+                rows[i] = [add(x, mul(f, y)) if y else x for x, y in zip(rows[i], prow)]
+    return tuple(pivots)
+
+
 def determinant(m: Mat) -> Fe:
-    """Exact determinant via pivoted elimination with swap-sign tracking."""
+    """Exact determinant: the signed pivot product of the forward elimination."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    ctx = m.ctx
-    n = m.rows
-    rs = m.to_rows()
-    det = 1
-    for c in range(n):
-        sel = next((i for i in range(c, n) if rs[i][c] != 0), None)
-        if sel is None:
-            return 0
-        if sel != c:
-            rs[c], rs[sel] = rs[sel], rs[c]
-            det = ctx.neg(det)
-        piv = rs[c][c]
-        det = ctx.mul(det, piv)
-        inv = ctx.inv(piv)
-        prow = rs[c]
-        for i in range(c + 1, n):
-            f = rs[i][c]
-            if f:
-                f = ctx.mul(f, inv)
-                rs[i] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(rs[i], prow)]
-    return det
+    return _echelon(m.ctx, m.to_rows(), m.cols)[1]
 
 
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row-echelon form and the tuple of pivot columns."""
-    ctx = m.ctx
-    rs = m.to_rows()
-    pivots = []
-    pr = 0
-    for c in range(m.cols):
-        if pr == m.rows:
-            break
-        sel = next((i for i in range(pr, m.rows) if rs[i][c] != 0), None)
-        if sel is None:
-            continue
-        rs[pr], rs[sel] = rs[sel], rs[pr]
-        inv = ctx.inv(rs[pr][c])
-        if inv != 1:
-            rs[pr] = [ctx.mul(inv, x) for x in rs[pr]]
-        prow = rs[pr]
-        for i in range(m.rows):
-            if i != pr and rs[i][c] != 0:
-                f = ctx.neg(rs[i][c])
-                rs[i] = [ctx.add(x, ctx.mul(f, y)) if y else x for x, y in zip(rs[i], prow)]
-        pivots.append(c)
-        pr += 1
-    return Mat.from_rows(ctx, rs, cols=m.cols), tuple(pivots)
+    rows = m.to_rows()
+    pivots = _rref_rows(m.ctx, rows, m.cols)
+    return Mat.from_rows(m.ctx, rows, cols=m.cols), pivots
 
 
 def rank(m: Mat) -> int:
-    return len(rref(m)[1])
+    return len(_echelon(m.ctx, m.to_rows(), m.cols)[0])
 
 
-def _null_basis_from_rref(r: Mat, pivots: tuple[int, ...], cols: int) -> list[list[Fe]]:
-    ctx = r.ctx
-    pivot_set = set(pivots)
+def _null_basis_from_rref(ctx: FieldCtx, rows, pivots: tuple[int, ...], cols: int) -> list[list[Fe]]:
+    """One basis vector per free column f < cols: 1 at f, minus column f at the pivots."""
     basis = []
-    for f in range(cols):
-        if f in pivot_set:
-            continue
+    for f in sorted(set(range(cols)) - set(pivots)):
         v = [0] * cols
         v[f] = 1
         for i, c in enumerate(pivots):
-            v[c] = ctx.neg(r.at(i, f))
+            v[c] = ctx.neg(rows[i][f])
         basis.append(v)
     return basis
 
 
 def null_space(m: Mat) -> list[list[Fe]]:
     """Canonical reduced-echelon basis of {x : m x = 0}."""
-    r, pivots = rref(m)
-    return _null_basis_from_rref(r, pivots, m.cols)
+    rows = m.to_rows()
+    return _null_basis_from_rref(m.ctx, rows, _rref_rows(m.ctx, rows, m.cols), m.cols)
 
 
 def left_null_space(m: Mat) -> list[list[Fe]]:
@@ -306,15 +307,14 @@ def solve_affine(a: Mat, b) -> tuple[list[Fe], list[list[Fe]]] | None:
     """
     if a.rows != len(b):
         raise ValueError("right-hand side length does not match row count")
-    aug_rows = [a.row(i) + [b[i]] for i in range(a.rows)]
-    aug = Mat.from_rows(a.ctx, aug_rows, cols=a.cols + 1)
-    r, pivots = rref(aug)
+    rows = [a.row(i) + [b[i]] for i in range(a.rows)]
+    pivots = _rref_rows(a.ctx, rows, a.cols + 1)
     if a.cols in pivots:
         return None
     particular = [0] * a.cols
     for i, c in enumerate(pivots):
-        particular[c] = r.at(i, a.cols)
-    return particular, _null_basis_from_rref(r, pivots, a.cols)
+        particular[c] = rows[i][a.cols]
+    return particular, _null_basis_from_rref(a.ctx, rows, pivots, a.cols)
 
 
 def span_members(ctx: FieldCtx, origin, basis) -> list[tuple[Fe, ...]]:
@@ -337,6 +337,4 @@ def vandermonde(ctx: FieldCtx, xs) -> Mat:
     xs = list(xs)
     m = len(xs)
     rows = [[ctx.pow(x, s) for x in xs] for s in range(m)]
-    if m == 0:
-        return Mat(ctx, 0, 0)
     return Mat.from_rows(ctx, rows, cols=m)

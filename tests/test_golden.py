@@ -65,6 +65,10 @@ RUNS = {
     "resultant-witness.json": (
         ["resultant", "--q", "13", "--alpha", "2", "--mu", "1,1", "--beta", "5,5", "--witness"], 0
     ),
+    # a 5-dimensional left kernel: the relation is its first canonical basis vector
+    "resultant-witness-kernel5.json": (
+        ["resultant", "--q", "16", "--alpha", "2", "--mu", "2,2,2,2", "--beta", "1,2,1,2", "--witness"], 0
+    ),
 }
 
 

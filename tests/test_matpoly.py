@@ -17,10 +17,11 @@ from burstkit import (
     poly_from_roots,
     poly_mul,
     rank,
+    rref,
     solve_affine,
     vandermonde,
 )
-from burstkit.matpoly import NEG_INF, poly_degree, poly_trim
+from burstkit.matpoly import NEG_INF, poly_degree, poly_trim, span_members
 
 
 def test_poly_ring_examples(fields):
@@ -186,3 +187,72 @@ def test_poly_from_roots(fields):
     assert p == (2, 2, 1)  # (x-1)(x-2) = x^2 + 2x + 2 over GF(5)
     for root in (1, 2):
         assert poly_eval(f5, p, root) == 0
+
+
+# -- brute-force oracles for the elimination kernel ----------------------
+
+ORACLE_ORDERS = (2, 3, 4, 5, 7, 8, 9)
+# every shape up to 4 x 5: empty on either side, square, tall and wide
+ORACLE_SHAPES = [(r, c) for r in range(5) for c in range(6)]
+
+
+def oracle_matrices(fields):
+    """Seeded matrices over each oracle field, every shape twice: once
+    dense, once with zero rows and repeated rows planted."""
+    rng = random.Random(2024)
+    for q in ORACLE_ORDERS:
+        f = fields[q]
+        for rows, cols in ORACLE_SHAPES:
+            for planted in (False, True):
+                data = [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)]
+                if planted and rows > 1:
+                    data[rng.randrange(rows)] = [0] * cols
+                    i, j = rng.sample(range(rows), 2)
+                    data[j] = list(data[i])
+                yield f, Mat(f, rows, cols, [x for row in data for x in row])
+
+
+def leibniz(f, m):
+    total = 0
+    for perm in itertools.permutations(range(m.rows)):
+        term = 1
+        for i, j in enumerate(perm):
+            term = f.mul(term, m.at(i, j))
+        odd = sum(a > b for a, b in itertools.combinations(perm, 2)) % 2
+        total = f.add(total, f.neg(term) if odd else term)
+    return total
+
+
+def test_determinant_matches_leibniz_expansion(fields):
+    squares = 0
+    for f, m in oracle_matrices(fields):
+        if m.rows == m.cols:
+            assert determinant(m) == leibniz(f, m), (f.q, m.to_rows())
+            squares += 1
+    assert squares == len(ORACLE_ORDERS) * 5 * 2
+
+
+def test_rref_is_reduced_and_spans_the_input_rows(fields):
+    for f, m in oracle_matrices(fields):
+        red, pivots = rref(m)
+        assert (red.rows, red.cols) == (m.rows, m.cols)
+        assert list(pivots) == sorted(set(pivots))
+        for i in range(m.rows):
+            row = red.row(i)
+            if i >= len(pivots):
+                assert row == [0] * m.cols
+                continue
+            assert row[: pivots[i]] == [0] * pivots[i] and row[pivots[i]] == 1
+            assert all(red.at(k, pivots[i]) == 0 for k in range(m.rows) if k != i)
+        for i in range(m.rows):
+            combo = [0] * m.cols
+            for k, c in enumerate(pivots):
+                combo = [f.add(x, f.mul(m.at(i, c), y)) for x, y in zip(combo, red.row(k))]
+            assert combo == m.row(i), (f.q, m.to_rows())
+
+
+def test_rank_counts_pivots_and_the_row_space(fields):
+    for f, m in oracle_matrices(fields):
+        r = rank(m)
+        assert r == len(rref(m)[1])
+        assert len(set(span_members(f, [0] * m.cols, m.to_rows()))) == f.q**r, (f.q, m.to_rows())
