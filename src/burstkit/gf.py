@@ -7,6 +7,12 @@ Multiplication, inversion and powering run on log/antilog tables built
 from a fixed primitive element, and addition in odd p^m on a Zech
 logarithm table, so arithmetic is O(1) after construction.
 
+Row work runs on one kernel, FieldCtx.axpy(f, xs, ys) = [x + f*y], picked
+once per family at construction: (x + f*y) % p for a prime field, the
+Zech add for odd p^m, and x ^ exp[lf + log y] for p = 2 with
+lf = log f - (q - 1), whose negative index wraps (no modulo, no doubled
+exp table).
+
 The modulus and the generator are deterministic so that two builds of
 the same field agree element by element:
 
@@ -239,6 +245,38 @@ def _exp_table(p: int, m: int, modulus: tuple[int, ...]) -> tuple[int, list[int]
     return gen, steps
 
 
+def _row_kernel(p: int, m: int, exp: list[int], log: list[int], zech: list[int] | None):
+    """axpy(f, xs, ys) -> [x + f*y for x, y in zip(xs, ys)] for this family."""
+    n1 = p**m - 1
+    if m == 1:
+        def axpy(f, xs, ys):
+            return [(x + f * y) % p for x, y in zip(xs, ys)]
+    elif p == 2:
+        def axpy(f, xs, ys):
+            if not f:
+                return list(xs)
+            lf = log[f] - n1  # lf + log y lies in [-(q-1), q-3]
+            return [x ^ exp[lf + log[y]] if y else x for x, y in zip(xs, ys)]
+    else:
+        def axpy(f, xs, ys):
+            if not f:
+                return list(xs)
+            lf = log[f] - n1
+            out = []
+            for x, y in zip(xs, ys):
+                if y:
+                    ly = lf + log[y]
+                    if x:  # x + f*y = x * (1 + f*y/x)
+                        lx = log[x]
+                        z = zech[(ly - lx) % n1]
+                        x = exp[lx + z - n1] if z >= 0 else 0
+                    else:
+                        x = exp[ly]
+                out.append(x)
+            return out
+    return axpy
+
+
 class FieldCtx:
     """A concrete finite field GF(p^m) with precomputed discrete-log tables.
 
@@ -246,7 +284,7 @@ class FieldCtx:
     operations are pure.
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "generator", "_exp", "_log", "_zech", "_neg_one")
+    __slots__ = ("p", "m", "q", "modulus", "generator", "_exp", "_log", "_zech", "_neg_one", "axpy")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...] | None = None):
         if m < 1:
@@ -289,6 +327,7 @@ class FieldCtx:
                 log[y] if y else -1 for y in (x - x % p + (x % p + 1) % p for x in exp)
             ]
         self._neg_one = 1 if p == 2 else p - 1
+        self.axpy = _row_kernel(p, m, exp, log, self._zech)
 
     # -- arithmetic --------------------------------------------------
 
@@ -369,6 +408,9 @@ class FieldCtx:
 
     def __hash__(self) -> int:
         return hash((self.p, self.m, self.modulus))
+
+    def __reduce__(self):  # the row kernel is a closure; pickle rebuilds the field
+        return FieldCtx, (self.p, self.m, self.modulus)
 
     def to_dict(self) -> dict:
         return {"p": self.p, "m": self.m, "modulus": list(self.modulus)}

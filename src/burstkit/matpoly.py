@@ -6,7 +6,11 @@ the distinguished NEG_INF marker. Matrices are dense and small (nothing
 in scope exceeds a few hundred rows). One forward elimination gives the
 determinant (the signed pivot product) and the rank (the pivot count);
 one back-substitution pass on top of it gives the reduced forms: RREF,
-null spaces and affine solves.
+null spaces and affine solves; a null space is [] straight after the
+forward pass when every column pivots. Every multiply-add over a row runs
+on the field's row kernel ctx.axpy(f, xs, ys) = [x + f*y]: the row
+updates of both passes, poly_mul, poly_divmod, mat_mul and
+poly_from_roots, where (x - r) * P = shift(P) + (-r) * P.
 """
 
 from __future__ import annotations
@@ -46,9 +50,7 @@ def poly_mul(ctx: FieldCtx, a: Poly, b: Poly) -> Poly:
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = ctx.add(out[i + j], ctx.mul(x, y))
+            out[i : i + len(b)] = ctx.axpy(x, out[i : i + len(b)], b)
     return poly_trim(out)
 
 
@@ -76,17 +78,16 @@ def poly_divmod(ctx: FieldCtx, a: Poly, b: Poly) -> tuple[Poly, Poly]:
             continue
         f = ctx.mul(c, lead_inv)
         quot[top - db] = f
-        for j in range(db + 1):
-            rem[top - db + j] = ctx.sub(rem[top - db + j], ctx.mul(f, b[j]))
+        rem[top - db : top + 1] = ctx.axpy(ctx.neg(f), rem[top - db : top + 1], b)
     return poly_trim(quot), poly_trim(rem)
 
 
 def poly_from_roots(ctx: FieldCtx, roots) -> Poly:
     """Monic polynomial with the given root multiset."""
-    out: Poly = (1,)
+    out = [1]
     for r in roots:
-        out = poly_mul(ctx, out, (ctx.neg(r), 1))
-    return out
+        out = ctx.axpy(ctx.neg(r), [0, *out], [*out, 0])
+    return tuple(out)
 
 
 # -- matrices ---------------------------------------------------------
@@ -164,20 +165,15 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     if a.cols != b.rows:
         raise ValueError("inner dimensions do not match")
     ctx = a.ctx
-    out = Mat(ctx, a.rows, b.cols)
+    brows = b.to_rows()
+    flat = []
     for i in range(a.rows):
-        arow = a.row(i)
-        orow = out.data
-        base = i * b.cols
-        for k, av in enumerate(arow):
-            if av == 0:
-                continue
-            bbase = k * b.cols
-            for j in range(b.cols):
-                bv = b.data[bbase + j]
-                if bv:
-                    orow[base + j] = ctx.add(orow[base + j], ctx.mul(av, bv))
-    return out
+        orow = [0] * b.cols
+        for av, brow in zip(a.row(i), brows):
+            if av:
+                orow = ctx.axpy(av, orow, brow)
+        flat.extend(orow)
+    return Mat(ctx, a.rows, b.cols, flat)
 
 
 def mat_vec(a: Mat, v) -> list[Fe]:
@@ -218,7 +214,7 @@ def _echelon(ctx: FieldCtx, rows: list[list[Fe]], cols: int) -> tuple[list[int],
     add multiples of the pivot row, skipping zero entries. Returns the
     pivot columns and the signed pivot product (0 if a column has none).
     """
-    add, mul = ctx.add, ctx.mul
+    mul, axpy = ctx.mul, ctx.axpy
     pivots: list[int] = []
     det = 1
     for c in range(cols):
@@ -235,25 +231,27 @@ def _echelon(ctx: FieldCtx, rows: list[list[Fe]], cols: int) -> tuple[list[int],
         neg_inv = ctx.neg(ctx.inv(prow[c]))
         for i in range(pr + 1, len(rows)):
             if rows[i][c]:
-                f = mul(rows[i][c], neg_inv)
-                rows[i] = [add(x, mul(f, y)) if y else x for x, y in zip(rows[i], prow)]
+                rows[i] = axpy(mul(rows[i][c], neg_inv), rows[i], prow)
         pivots.append(c)
     return pivots, det
 
 
-def _rref_rows(ctx: FieldCtx, rows: list[list[Fe]], cols: int) -> tuple[int, ...]:
-    """Reduce rows in place to reduced row-echelon form and return the
-    pivot columns: the forward elimination, then one back-substitution
-    pass that scales each pivot row to 1 and clears the entries above it."""
-    pivots, _ = _echelon(ctx, rows, cols)
-    add, mul = ctx.add, ctx.mul
+def _back_substitute(ctx: FieldCtx, rows: list[list[Fe]], pivots: list[int]) -> None:
+    """Turn echelon rows into reduced ones in place: scale each pivot row
+    to 1 (an axpy onto a zero row) and clear the entries above it."""
+    axpy = ctx.axpy
     for k, c in reversed(list(enumerate(pivots))):
-        inv = ctx.inv(rows[k][c])
-        rows[k] = prow = [mul(inv, x) for x in rows[k]]
+        rows[k] = prow = axpy(ctx.inv(rows[k][c]), [0] * len(rows[k]), rows[k])
         for i in range(k):
             if rows[i][c]:
-                f = ctx.neg(rows[i][c])
-                rows[i] = [add(x, mul(f, y)) if y else x for x, y in zip(rows[i], prow)]
+                rows[i] = axpy(ctx.neg(rows[i][c]), rows[i], prow)
+
+
+def _rref_rows(ctx: FieldCtx, rows: list[list[Fe]], cols: int) -> tuple[int, ...]:
+    """Reduce rows in place to reduced row-echelon form and return the
+    pivot columns: the forward elimination, then the back-substitution."""
+    pivots, _ = _echelon(ctx, rows, cols)
+    _back_substitute(ctx, rows, pivots)
     return tuple(pivots)
 
 
@@ -288,9 +286,14 @@ def _null_basis_from_rref(ctx: FieldCtx, rows, pivots: tuple[int, ...], cols: in
 
 
 def null_space(m: Mat) -> list[list[Fe]]:
-    """Canonical reduced-echelon basis of {x : m x = 0}."""
+    """Canonical reduced-echelon basis of {x : m x = 0}; [] straight
+    after the forward elimination when every column pivots."""
     rows = m.to_rows()
-    return _null_basis_from_rref(m.ctx, rows, _rref_rows(m.ctx, rows, m.cols), m.cols)
+    pivots, _ = _echelon(m.ctx, rows, m.cols)
+    if len(pivots) == m.cols:
+        return []
+    _back_substitute(m.ctx, rows, pivots)
+    return _null_basis_from_rref(m.ctx, rows, pivots, m.cols)
 
 
 def left_null_space(m: Mat) -> list[list[Fe]]:

@@ -10,7 +10,8 @@ beta-independent constant times the product of all cross-block root
 differences, and it vanishes exactly when two blocks collide, i.e.
 beta_k / beta_i is a power alpha^t with -mu_i < t < mu_k. For two
 blocks the stacked matrix is the Sylvester arrangement and the
-determinant is the classical resultant.
+determinant is the classical resultant. The closed form's constant is
+one discrete-log sum over alpha^t - alpha^s = alpha^s (alpha^(t-s) - 1).
 
 Everything here is certified by evaluation over the finite field; no
 symbolic computation is performed.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from random import Random
 
 from .gf import Fe, FieldCtx
@@ -103,10 +105,8 @@ class RelationWitness:
 
 def root_run_poly(inst: ResultantInstance, i: int) -> Poly:
     """Monic polynomial of block i: roots beta_i * alpha^j, j < tau_i."""
-    ctx = inst.ctx
-    tau_i = inst.taus[i]
-    roots = [ctx.mul(inst.beta[i], ctx.pow(inst.alpha, j)) for j in range(tau_i)]
-    return poly_from_roots(ctx, roots)
+    roots = accumulate(repeat(inst.alpha, inst.taus[i] - 1), inst.ctx.mul, initial=inst.beta[i])
+    return poly_from_roots(inst.ctx, roots)
 
 
 def coeff_band(inst: ResultantInstance, i: int) -> Mat:
@@ -131,26 +131,18 @@ def det_stacked(inst: ResultantInstance) -> Fe:
     return determinant(stacked_matrix(inst))
 
 
-def _power_node_vdet(ctx: FieldCtx, alpha: Fe, k: int) -> Fe:
-    """det of the Vandermonde on nodes 1, alpha, ..., alpha^(k-1):
-    the pair product of node differences."""
-    acc = 1
-    pows = [ctx.pow(alpha, j) for j in range(k)]
-    for s in range(k):
-        for t in range(s + 1, k):
-            acc = ctx.mul(acc, ctx.sub(pows[t], pows[s]))
-    return acc
-
-
 def leading_constant(ctx: FieldCtx, alpha: Fe, mu) -> Fe:
     """The beta-independent constant of the determinant factorization.
 
     kappa = alpha^(P-N) * detV(r)^(-2)
             * prod_i [ detV(mu_i)^2 * prod_{s<mu_i} prod_{mu_i<=t<r} (alpha^t - alpha^s) ]
 
-    with detV(k) the power-node Vandermonde determinant and
-    P - N = sum_i mu_i * C(tau_i, 2). The exponent is carried as an
-    exact integer and reduced only at the final exponentiation.
+    with detV(k) = prod_{s<t<k} (alpha^t - alpha^s) the power-node
+    Vandermonde determinant and P - N = sum_i mu_i * C(tau_i, 2).
+    Computed as one discrete-log sum: alpha^t - alpha^s =
+    alpha^s * (alpha^(t-s) - 1), and d[k] = log(alpha^k - 1) exists for
+    1 <= k < r because order(alpha) >= r. The sum is an exact integer,
+    reduced only at the final exponentiation.
     """
     mu = tuple(int(m) for m in mu)
     if any(m < 1 for m in mu):
@@ -158,34 +150,30 @@ def leading_constant(ctx: FieldCtx, alpha: Fe, mu) -> Fe:
     r = sum(mu)
     if alpha == 0 or ctx.order(alpha) < r:
         raise ValueError(f"alpha must have multiplicative order at least r = {r}")
-    taus = [r - m for m in mu]
-    exponent = sum(m * math.comb(t, 2) for m, t in zip(mu, taus))
-    pows = [ctx.pow(alpha, j) for j in range(r)]
-    vr = _power_node_vdet(ctx, alpha, r)
-    acc = ctx.mul(ctx.pow(alpha, exponent), ctx.inv(ctx.mul(vr, vr)))
-    for m_i in mu:
-        v = _power_node_vdet(ctx, alpha, m_i)
-        acc = ctx.mul(acc, ctx.mul(v, v))
-        for s in range(m_i):
-            for t in range(m_i, r):
-                acc = ctx.mul(acc, ctx.sub(pows[t], pows[s]))
-    return acc
+    la = ctx.log(alpha)
+    d = [0, *(ctx.log(ctx.sub(ctx.pow(alpha, k), 1)) for k in range(1, r))]
+
+    def diffs(s_range, t_range):  # log prod (alpha^t - alpha^s) over s < t
+        return sum(s * la + d[t - s] for s in s_range for t in t_range if s < t)
+
+    total = la * sum(m * math.comb(r - m, 2) for m in mu) - 2 * diffs(range(r), range(r))
+    for m in mu:
+        total += 2 * diffs(range(m), range(m)) + diffs(range(m), range(m, r))
+    return ctx.pow(ctx.generator, total)
 
 
 def det_product_form(inst: ResultantInstance) -> Fe:
     """The closed form: leading constant times all cross-block root
     differences prod_{i<k} prod_{s<mu_i} prod_{t<mu_k}
     (beta_k alpha^s - beta_i alpha^t)."""
-    ctx = inst.ctx
-    acc = leading_constant(ctx, inst.alpha, inst.mu)
-    pows = [ctx.pow(inst.alpha, j) for j in range(max(inst.mu))]
+    ctx, mu = inst.ctx, inst.mu
+    runs = [list(accumulate(repeat(inst.alpha, max(mu) - 1), ctx.mul, initial=b)) for b in inst.beta]
+    acc = leading_constant(ctx, inst.alpha, mu)
     for i in range(inst.ell + 1):
         for k in range(i + 1, inst.ell + 1):
-            bi, bk = inst.beta[i], inst.beta[k]
-            for s in range(inst.mu[i]):
-                lhs = ctx.mul(bk, pows[s])
-                for t in range(inst.mu[k]):
-                    acc = ctx.mul(acc, ctx.sub(lhs, ctx.mul(bi, pows[t])))
+            for lhs in runs[k][: mu[i]]:
+                for rhs in runs[i][: mu[k]]:
+                    acc = ctx.mul(acc, ctx.sub(lhs, rhs))
     return acc
 
 

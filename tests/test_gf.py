@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -339,9 +340,35 @@ def test_serialization_round_trip(fields):
         assert g.generator == f.generator
 
 
+def test_pickle_round_trip_keeps_tables_and_row_kernel(fields):
+    for f in (fields[16], fields[7], fields[9]):
+        g = pickle.loads(pickle.dumps(f))
+        assert g == f and tables(g) == tables(f)
+        assert g.axpy(2, [1, 0, 3], [1, 2, 0]) == f.axpy(2, [1, 0, 3], [1, 2, 0])
+
+
 def test_field_from_order(fields):
     f = field_from_order(16)
     assert (f.p, f.m) == (2, 4)
     assert field_from_order(7).p == 7
     with pytest.raises(ValueError):
         field_from_order(12)
+
+
+# -- the row kernel against the per-element multiply-add -------------------
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 13, 16, 81, 65536, 6561, 65521])
+def test_axpy_matches_per_element_multiply_add(fields, q):
+    """FieldCtx.axpy(f, xs, ys) == [add(x, mul(f, y))] on each family:
+    every (f, x, y) up to q = 16, else a seeded sample of 33 elements with
+    0, 1 and the generator^(q-2) whose log sum with itself is the largest,
+    where the p = 2 kernel's exp index wraps. Rows also pair each y with
+    x = -(f*y), so the Zech sum hits zero."""
+    ctx = fields[q]
+    top = ctx.pow(ctx.generator, q - 2)
+    elements = range(q) if q <= 16 else [0, 1, top, *random.Random(q).sample(range(2, q), 30)]
+    pairs = [(x, y) for x in elements for y in elements]
+    for f in elements:
+        cancel = [(ctx.neg(ctx.mul(f, y)), y) for y in elements]
+        xs, ys = zip(*pairs, *cancel)
+        assert ctx.axpy(f, xs, ys) == [ctx.add(x, ctx.mul(f, y)) for x, y in zip(xs, ys)], (q, f)

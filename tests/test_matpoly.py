@@ -21,7 +21,7 @@ from burstkit import (
     solve_affine,
     vandermonde,
 )
-from burstkit.matpoly import NEG_INF, poly_degree, poly_trim, span_members
+from burstkit.matpoly import NEG_INF, left_null_space, poly_degree, poly_trim, span_members
 
 
 def test_poly_ring_examples(fields):
@@ -256,3 +256,34 @@ def test_rank_counts_pivots_and_the_row_space(fields):
         r = rank(m)
         assert r == len(rref(m)[1])
         assert len(set(span_members(f, [0] * m.cols, m.to_rows()))) == f.q**r, (f.q, m.to_rows())
+
+
+def back_substituted_null_basis(f, m):
+    """The null-space basis read off the full RREF: 1 at each free
+    column, minus that column of the reduced rows at the pivots."""
+    red, pivots = rref(m)
+    basis = []
+    for free in (c for c in range(m.cols) if c not in pivots):
+        v = [0] * m.cols
+        v[free] = 1
+        for i, c in enumerate(pivots):
+            v[c] = f.neg(red.at(i, free))
+        basis.append(v)
+    return basis
+
+
+def test_null_spaces_are_empty_exactly_at_full_column_rank(fields):
+    """null_space returns [] straight after the forward pass iff every
+    column pivots, on square, tall and wide shapes; otherwise it is the
+    back-substituted basis. left_null_space is the same on the transpose."""
+    kinds = set()
+    for f, m in oracle_matrices(fields):
+        basis = null_space(m)
+        assert (basis == []) == (rank(m) == m.cols), (f.q, m.to_rows())
+        assert basis == back_substituted_null_basis(f, m), (f.q, m.to_rows())
+        left = left_null_space(m)
+        assert (left == []) == (rank(m) == m.rows), (f.q, m.to_rows())
+        assert left == back_substituted_null_basis(f, m.transpose()), (f.q, m.to_rows())
+        kinds.add((basis == [], (m.rows > m.cols) - (m.rows < m.cols)))
+    # (empty, tall - wide): a wide matrix never has full column rank
+    assert kinds == {(True, 0), (True, 1), (False, -1), (False, 0), (False, 1)}

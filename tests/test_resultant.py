@@ -298,3 +298,111 @@ def test_cross_block_degree_bookkeeping():
                 counts[k] += inst.mu[i] * inst.mu[k]
         for i in range(ell + 1):
             assert counts[i] == inst.mu[i] * inst.taus[i]
+
+
+# -- the multiplicative closed form and product-built roots, as oracles ----
+
+BOUNDARY_KINDS = ("-mu_i", "mu_k-1", "mu_k")
+
+
+def oracle_poly_mul(ctx, a, b):
+    """Schoolbook product, one field multiply-add per coefficient pair."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = ctx.add(out[i + j], ctx.mul(x, y))
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def oracle_root_run_poly(inst, i):
+    """prod (x - beta_i alpha^j) over j < tau_i, one linear factor at a
+    time through the schoolbook product, each root from its own power."""
+    ctx = inst.ctx
+    out = (1,)
+    for j in range(inst.taus[i]):
+        root = ctx.mul(inst.beta[i], ctx.pow(inst.alpha, j))
+        out = oracle_poly_mul(ctx, out, (ctx.neg(root), 1))
+    return out
+
+
+def oracle_power_node_vdet(ctx, alpha, k):
+    acc = 1
+    pows = [ctx.pow(alpha, j) for j in range(k)]
+    for s in range(k):
+        for t in range(s + 1, k):
+            acc = ctx.mul(acc, ctx.sub(pows[t], pows[s]))
+    return acc
+
+
+def oracle_leading_constant(ctx, alpha, mu):
+    """kappa as a product of field elements: alpha^(P-N) * detV(r)^(-2)
+    * prod_i detV(mu_i)^2 * prod_{s<mu_i<=t<r} (alpha^t - alpha^s)."""
+    r = sum(mu)
+    exponent = sum(m * (r - m) * (r - m - 1) // 2 for m in mu)
+    pows = [ctx.pow(alpha, j) for j in range(r)]
+    vr = oracle_power_node_vdet(ctx, alpha, r)
+    acc = ctx.mul(ctx.pow(alpha, exponent), ctx.inv(ctx.mul(vr, vr)))
+    for m_i in mu:
+        v = oracle_power_node_vdet(ctx, alpha, m_i)
+        acc = ctx.mul(acc, ctx.mul(v, v))
+        for s in range(m_i):
+            for t in range(m_i, r):
+                acc = ctx.mul(acc, ctx.sub(pows[t], pows[s]))
+    return acc
+
+
+def oracle_det_product_form(inst):
+    ctx = inst.ctx
+    acc = oracle_leading_constant(ctx, inst.alpha, inst.mu)
+    pows = [ctx.pow(inst.alpha, j) for j in range(max(inst.mu))]
+    for i in range(inst.ell + 1):
+        for k in range(i + 1, inst.ell + 1):
+            for s in range(inst.mu[i]):
+                lhs = ctx.mul(inst.beta[k], pows[s])
+                for t in range(inst.mu[k]):
+                    acc = ctx.mul(acc, ctx.sub(lhs, ctx.mul(inst.beta[i], pows[t])))
+    return acc
+
+
+def seeded_corpus(fields, seed, orders, count, max_r):
+    """count instances per field order; every fourth on the collision
+    boundary, cycling over the three boundary kinds."""
+    rng = random.Random(seed)
+    for q in orders:
+        for n in range(count):
+            ell = rng.randint(1, 3)
+            r = rng.randint(ell + 1, max_r)
+            if n % 4 == 3:
+                yield boundary_instance(fields[q], rng, ell, r, BOUNDARY_KINDS[n // 4 % 3])
+            else:
+                yield sample_instance(fields[q], rng, ell, r)
+
+
+def test_log_sum_closed_form_and_running_roots_match_the_oracles(fields):
+    """leading_constant, det_product_form and root_run_poly against the
+    multiplicative forms, over prime, 2^m and odd p^m fields up to
+    GF(2^16), with r up to 12."""
+    singular = 0
+    for inst in seeded_corpus(fields, 1313, (13, 16, 17, 81, 256, 65536), 32, 12):
+        ctx = inst.ctx
+        assert leading_constant(ctx, inst.alpha, inst.mu) == oracle_leading_constant(ctx, inst.alpha, inst.mu)
+        closed = det_product_form(inst)
+        assert closed == oracle_det_product_form(inst) == det_stacked(inst), (ctx, inst)
+        for i in range(inst.ell + 1):
+            assert root_run_poly(inst, i) == oracle_root_run_poly(inst, i), (ctx, inst, i)
+        singular += closed == 0
+    assert 0 < singular < 6 * 32
+
+
+def test_kernel_relation_exists_iff_the_determinant_vanishes(fields):
+    """The forward-only null space: no relation exactly when det != 0."""
+    singular = 0
+    for inst in seeded_corpus(fields, 500, (13, 16, 17, 81), 125, 10):
+        det = det_stacked(inst)
+        assert (find_kernel_relation(inst) is None) == (det != 0), (inst.ctx, inst)
+        singular += det == 0
+    assert 0 < singular < 500
