@@ -60,8 +60,13 @@ def _inapplicable(bound_id: str, inputs: dict) -> BoundVerdict:
 
 
 def _inputs(q, n, tau, ell, size, hypotheses=None) -> dict:
-    """A verdict's inputs, which every bound builds before any arithmetic."""
+    """A verdict's inputs, which every bound builds before any arithmetic,
+    so the one check here that n, tau, ell and size are at least 1 covers
+    every bound."""
     check_alphabet(q)
+    for name, v in (("n", n), ("tau", tau), ("ell", ell), ("size", size)):
+        if v < 1:
+            raise ValueError(f"{name} must be at least 1, got {v}")
     inputs = {"q": q, "n": n, "tau": tau, "ell": ell, "size": size}
     if hypotheses is not None:
         inputs["hypotheses"] = hypotheses
@@ -89,14 +94,13 @@ def _logq(x: float, q: int) -> float:
 def sphere_packing(q: int, n: int, tau: int, ell: int, size: int) -> BoundVerdict:
     """Packing bound: decodability at list size ell forces
     size * V_q(n, tau) <= ell * q^n."""
-    if not 1 <= tau <= n:
-        raise ValueError(f"tau must satisfy 1 <= tau <= {n}")
-    if ell < 1 or size < 1:
-        raise ValueError("ell and size must be positive")
+    inputs = _inputs(q, n, tau, ell, size)
+    if tau > n:
+        raise ValueError(f"tau must satisfy 1 <= tau <= {n}, got {tau}")
     v = count_bursts(q, n, tau)
     rhs = ell * q**n
     return _verdict(
-        "sphere_packing", _inputs(q, n, tau, ell, size),
+        "sphere_packing", inputs,
         size * v, "<=", rhs, rhs // v, _logq(v / ell, q),
     )
 
@@ -112,8 +116,6 @@ def reiger_group(
     (ell+1) tau <= n, or for the relaxed variant ell | tau and
     2 tau <= n.
     """
-    if tau < 1 or ell < 1 or size < 1:
-        raise ValueError("tau, ell and size must be positive")
     bound_id = "reiger_group_relaxed" if relaxed else "reiger_group"
     inputs = _inputs(q, n, tau, ell, size, ["group_code", "detects_single_burst"])
     if not (tau % ell == 0 and 2 * tau <= n if relaxed else (ell + 1) * tau <= n):
@@ -136,8 +138,6 @@ def reiger_linear(q: int, n: int, tau: int, ell: int, size: int) -> BoundVerdict
     """Integer form of the group-code bound for linear codes:
     r >= tau + ceil(tau / ell). Inapplicable unless size is a power of q
     (so that r is an integer) and the group-code hypotheses hold."""
-    if tau < 1 or ell < 1 or size < 1:
-        raise ValueError("tau, ell and size must be positive")
     inputs = _inputs(q, n, tau, ell, size, ["linear_code", "detects_single_burst"])
     k = 0
     v = size
@@ -158,8 +158,6 @@ def general_code_ell2(q: int, n: int, tau: int, size: int) -> BoundVerdict:
     """Bound for unstructured codes with detection at list size 2:
     size <= q^(n - 2 tau) * (2 q^(tau/2) - 2); needs tau even and
     2 tau <= n."""
-    if tau < 1 or size < 1:
-        raise ValueError("tau and size must be positive")
     inputs = _inputs(q, n, tau, 2, size, ["detects_single_burst"])
     if tau % 2 != 0 or 2 * tau > n:
         return _inapplicable("general_ell2", inputs)
@@ -175,8 +173,6 @@ def general_code_any_ell(q: int, n: int, tau: int, ell: int, size: int) -> Bound
     """Bound for unstructured codes with detection at any list size:
     size < ell * q^(n - (tau/ell)(ell+1)); needs ell > 1, ell | tau and
     2 tau <= n. The inequality is strict."""
-    if tau < 1 or ell < 1 or size < 1:
-        raise ValueError("tau, ell and size must be positive")
     inputs = _inputs(q, n, tau, ell, size, ["detects_single_burst"])
     if ell <= 1 or tau % ell != 0 or 2 * tau > n:
         return _inapplicable("general_any_ell", inputs)
@@ -190,8 +186,6 @@ def general_code_any_ell(q: int, n: int, tau: int, ell: int, size: int) -> Bound
 def lemma_Mell(q: int, ell: int, size: int) -> BoundVerdict:
     """Size cap for length-2*ell codes with detection and list size ell
     at tau = ell: size < ell * q^(ell-1)."""
-    if ell < 1 or size < 1:
-        raise ValueError("ell and size must be positive")
     inputs = _inputs(q, 2 * ell, ell, ell, size, ["detects_single_burst"])
     if ell <= 1:
         return _inapplicable("lemma_Mell", inputs)
@@ -205,8 +199,6 @@ def lemma_Mell(q: int, ell: int, size: int) -> BoundVerdict:
 def no_detection_ell2(q: int, n: int, tau: int, size: int) -> BoundVerdict:
     """Bound at list size 2 with NO detection requirement:
     size <= 2 q^(n - 2 tau + tau/2); needs tau even and 2 tau <= n."""
-    if tau < 1 or size < 1:
-        raise ValueError("tau and size must be positive")
     inputs = _inputs(q, n, tau, 2, size, [])
     if tau % 2 != 0 or 2 * tau > n:
         return _inapplicable("no_detection_ell2", inputs)

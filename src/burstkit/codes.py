@@ -38,9 +38,8 @@ class LinearCode:
                 raise ValueError("generator matrix does not have full row rank")
             if self.G.rows != self.n - self.H.rows:
                 raise ValueError("generator and parity-check ranks disagree")
-            for i in range(self.G.rows):
-                if any(x != 0 for x in mat_vec(self.H, self.G.row(i))):
-                    raise ValueError("G H^T != 0")
+            if any(x for g in self.G.to_rows() for x in mat_vec(self.H, g)):
+                raise ValueError("G H^T != 0")
 
     @property
     def r(self) -> int:
@@ -72,10 +71,7 @@ class LinearCode:
         on demand when none was supplied."""
         if self.G is not None:
             return self.G
-        basis = null_space(self.H)
-        if not basis:
-            return Mat(self.ctx, 0, self.n)
-        return Mat.from_rows(self.ctx, basis, cols=self.n)
+        return Mat.from_rows(self.ctx, null_space(self.H), cols=self.n)
 
     def codewords(self, cap: int | None = None):
         """Iterate all q^k codewords (guarded by the codeword cap)."""
@@ -176,8 +172,7 @@ def rs_code(ctx: FieldCtx, n: int, r: int) -> LinearCode:
     if not 0 <= r < n:
         raise ValueError(f"redundancy must satisfy 0 <= r < n, got {r}")
     rows = [[ctx.pow(alpha, s * j) for j in range(n)] for s in range(r)]
-    h = Mat.from_rows(ctx, rows, cols=n) if rows else Mat(ctx, 0, n)
-    return LinearCode(ctx, n, h)
+    return LinearCode(ctx, n, Mat.from_rows(ctx, rows, cols=n))
 
 
 def rs_alpha(ctx: FieldCtx, n: int) -> Fe:

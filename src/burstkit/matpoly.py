@@ -2,18 +2,22 @@
 
 Polynomials are tuples of element indices, lowest degree first, with no
 trailing zeros; the zero polynomial is the empty tuple and its degree is
-the distinguished NEG_INF marker. Matrices are dense and small (nothing
-in scope exceeds a few hundred rows). One forward elimination gives the
-determinant (the signed pivot product) and the rank (the pivot count);
-one back-substitution pass on top of it gives the reduced forms: RREF,
-null spaces and affine solves; a null space is [] straight after the
-forward pass when every column pivots. Every multiply-add over a row runs
-on the field's row kernel ctx.axpy(f, xs, ys) = [x + f*y]: the row
-updates of both passes, poly_mul, poly_divmod, mat_mul and
-poly_from_roots, where (x - r) * P = shift(P) + (-r) * P.
+the distinguished NEG_INF marker. A matrix is its list of rows, the one
+form every kernel reads; matrices are small (nothing in scope exceeds a
+few hundred rows). One forward elimination gives the determinant (the
+signed pivot product) and the rank (the pivot count); one
+back-substitution pass on top of it gives the reduced forms: RREF, null
+spaces and affine solves; a null space is [] straight after the forward
+pass when every column pivots. Every multiply-add over a row runs on
+the field's row kernel ctx.axpy(f, xs, ys) = [x + f*y]: the row updates
+of both passes, poly_add, poly_mul, poly_divmod, mat_mul, mat_vec (a
+sum of scaled columns), span_members and poly_from_roots, where
+(x - r) * P = shift(P) + (-r) * P.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 from .gf import Fe, FieldCtx
 
@@ -38,10 +42,7 @@ def poly_degree(a: Poly):
 def poly_add(ctx: FieldCtx, a: Poly, b: Poly) -> Poly:
     if len(a) < len(b):
         a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = ctx.add(out[i], c)
-    return poly_trim(out)
+    return poly_trim(ctx.axpy(1, a, b) + list(a[len(b) :]))
 
 
 def poly_mul(ctx: FieldCtx, a: Poly, b: Poly) -> Poly:
@@ -93,20 +94,22 @@ def poly_from_roots(ctx: FieldCtx, roots) -> Poly:
 # -- matrices ---------------------------------------------------------
 
 class Mat:
-    """Dense row-major matrix over a fixed field."""
+    """A matrix over a fixed field, held as its list of rows: the form
+    the elimination and the row kernel read. Nothing mutates a Mat, so
+    the methods that hand rows out copy them."""
 
-    __slots__ = ("ctx", "rows", "cols", "data")
+    __slots__ = ("ctx", "rows", "cols", "_rows")
 
     def __init__(self, ctx: FieldCtx, rows: int, cols: int, data=None):
+        """rows x cols from a flat row-major sequence, or zeros."""
+        flat = [0] * (rows * cols) if data is None else list(data)
+        if len(flat) != rows * cols:
+            raise ValueError("data length does not match dimensions")
+        entries = iter(flat)
         self.ctx = ctx
         self.rows = rows
         self.cols = cols
-        if data is None:
-            self.data = [0] * (rows * cols)
-        else:
-            self.data = list(data)
-            if len(self.data) != rows * cols:
-                raise ValueError("data length does not match dimensions")
+        self._rows = [list(islice(entries, cols)) for _ in range(rows)]
 
     @classmethod
     def from_rows(cls, ctx: FieldCtx, rows, cols: int | None = None) -> "Mat":
@@ -115,36 +118,27 @@ class Mat:
             if not rows:
                 raise ValueError("cannot infer column count from an empty row list")
             cols = len(rows[0])
-        flat = []
-        for r in rows:
-            if len(r) != cols:
-                raise ValueError("ragged rows")
-            flat.extend(r)
-        return cls(ctx, len(rows), cols, flat)
+        if any(len(r) != cols for r in rows):
+            raise ValueError("ragged rows")
+        return _wrap(ctx, rows, cols)
 
     @classmethod
     def identity(cls, ctx: FieldCtx, n: int) -> "Mat":
-        m = cls(ctx, n, n)
-        for i in range(n):
-            m.data[i * n + i] = 1
-        return m
+        return _wrap(ctx, [[int(i == j) for j in range(n)] for i in range(n)], n)
 
     def at(self, i: int, j: int) -> Fe:
-        return self.data[i * self.cols + j]
+        return self._rows[i][j]
 
     def row(self, i: int) -> list[Fe]:
-        return self.data[i * self.cols : (i + 1) * self.cols]
+        return list(self._rows[i])
 
     def to_rows(self) -> list[list[Fe]]:
-        return [self.row(i) for i in range(self.rows)]
+        return [list(r) for r in self._rows]
 
     def transpose(self) -> "Mat":
-        out = Mat(self.ctx, self.cols, self.rows)
-        for i in range(self.rows):
-            base = i * self.cols
-            for j in range(self.cols):
-                out.data[j * self.rows + i] = self.data[base + j]
-        return out
+        # zip(*rows) has no columns to yield when there are no rows
+        cols = [list(c) for c in zip(*self._rows)] or [[] for _ in range(self.cols)]
+        return _wrap(self.ctx, cols, self.rows)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -152,11 +146,18 @@ class Mat:
             and self.ctx == other.ctx
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self._rows == other._rows
         )
 
     def __repr__(self) -> str:
         return f"Mat({self.rows}x{self.cols} over {self.ctx!r})"
+
+
+def _wrap(ctx: FieldCtx, rows: list[list[Fe]], cols: int) -> Mat:
+    """A Mat that takes over freshly built rows, with no copy."""
+    m = Mat(ctx, 0, cols)
+    m.rows, m._rows = len(rows), rows
+    return m
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
@@ -164,48 +165,36 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
         raise ValueError("matrices live over different fields")
     if a.cols != b.rows:
         raise ValueError("inner dimensions do not match")
-    ctx = a.ctx
-    brows = b.to_rows()
-    flat = []
-    for i in range(a.rows):
+    axpy = a.ctx.axpy
+    out = []
+    for arow in a._rows:
         orow = [0] * b.cols
-        for av, brow in zip(a.row(i), brows):
+        for av, brow in zip(arow, b._rows):
             if av:
-                orow = ctx.axpy(av, orow, brow)
-        flat.extend(orow)
-    return Mat(ctx, a.rows, b.cols, flat)
+                orow = axpy(av, orow, brow)
+        out.append(orow)
+    return _wrap(a.ctx, out, b.cols)
 
 
 def mat_vec(a: Mat, v) -> list[Fe]:
+    """a v, as the sum of v_j times column j of a."""
     if a.cols != len(v):
         raise ValueError("vector length does not match column count")
-    ctx = a.ctx
-    out = []
-    for i in range(a.rows):
-        acc = 0
-        base = i * a.cols
-        for j, x in enumerate(v):
-            if x:
-                h = a.data[base + j]
-                if h:
-                    acc = ctx.add(acc, ctx.mul(h, x))
-        out.append(acc)
+    axpy = a.ctx.axpy
+    out = [0] * a.rows
+    for x, col in zip(v, zip(*a._rows)):
+        if x:
+            out = axpy(x, out, col)
     return out
 
 
 def vstack(mats: list[Mat]) -> Mat:
     if not mats:
         raise ValueError("nothing to stack")
-    cols = mats[0].cols
-    ctx = mats[0].ctx
-    flat = []
-    rows = 0
-    for m in mats:
-        if m.cols != cols or m.ctx != ctx:
-            raise ValueError("stacked matrices must agree on field and width")
-        flat.extend(m.data)
-        rows += m.rows
-    return Mat(ctx, rows, cols, flat)
+    ctx, cols = mats[0].ctx, mats[0].cols
+    if any(m.cols != cols or m.ctx != ctx for m in mats):
+        raise ValueError("stacked matrices must agree on field and width")
+    return _wrap(ctx, [list(r) for m in mats for r in m._rows], cols)
 
 
 def _echelon(ctx: FieldCtx, rows: list[list[Fe]], cols: int) -> tuple[list[int], Fe]:
@@ -266,7 +255,7 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row-echelon form and the tuple of pivot columns."""
     rows = m.to_rows()
     pivots = _rref_rows(m.ctx, rows, m.cols)
-    return Mat.from_rows(m.ctx, rows, cols=m.cols), pivots
+    return _wrap(m.ctx, rows, m.cols), pivots
 
 
 def rank(m: Mat) -> int:
@@ -310,7 +299,7 @@ def solve_affine(a: Mat, b) -> tuple[list[Fe], list[list[Fe]]] | None:
     """
     if a.rows != len(b):
         raise ValueError("right-hand side length does not match row count")
-    rows = [a.row(i) + [b[i]] for i in range(a.rows)]
+    rows = [[*row, x] for row, x in zip(a._rows, b)]
     pivots = _rref_rows(a.ctx, rows, a.cols + 1)
     if a.cols in pivots:
         return None
@@ -325,12 +314,10 @@ def span_members(ctx: FieldCtx, origin, basis) -> list[tuple[Fe, ...]]:
     coefficient vector (element indices, the last basis vector fastest)."""
     words = [tuple(origin)]
     for b in basis:
-        scaled = [tuple(ctx.mul(a, x) for x in b) for a in range(1, ctx.q)]
         nxt = []
         for w in words:
             nxt.append(w)
-            for sc in scaled:
-                nxt.append(tuple(map(ctx.add, w, sc)))
+            nxt.extend(tuple(ctx.axpy(a, w, b)) for a in range(1, ctx.q))
         words = nxt
     return words
 
@@ -338,6 +325,4 @@ def span_members(ctx: FieldCtx, origin, basis) -> list[tuple[Fe, ...]]:
 def vandermonde(ctx: FieldCtx, xs) -> Mat:
     """Square matrix with entry (s, t) = xs[t]^s."""
     xs = list(xs)
-    m = len(xs)
-    rows = [[ctx.pow(x, s) for x in xs] for s in range(m)]
-    return Mat.from_rows(ctx, rows, cols=m)
+    return _wrap(ctx, [[ctx.pow(x, s) for x in xs] for s in range(len(xs))], len(xs))

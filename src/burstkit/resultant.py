@@ -86,12 +86,7 @@ class ResultantInstance:
     @property
     def prefix_sums(self) -> tuple[int, ...]:
         """r_i = mu_0 + ... + mu_i."""
-        out = []
-        acc = 0
-        for m in self.mu:
-            acc += m
-            out.append(acc)
-        return tuple(out)
+        return tuple(accumulate(self.mu))
 
 
 @dataclass(frozen=True)
@@ -105,7 +100,7 @@ class RelationWitness:
 
 def root_run_poly(inst: ResultantInstance, i: int) -> Poly:
     """Monic polynomial of block i: roots beta_i * alpha^j, j < tau_i."""
-    roots = accumulate(repeat(inst.alpha, inst.taus[i] - 1), inst.ctx.mul, initial=inst.beta[i])
+    roots = accumulate(repeat(inst.alpha, inst.r - inst.mu[i] - 1), inst.ctx.mul, initial=inst.beta[i])
     return poly_from_roots(inst.ctx, roots)
 
 

@@ -357,6 +357,10 @@ NON_NEGATIVE = "--cap must be a non-negative integer, got "
             ["bounds", "--q", "1", "--n", "4", "--tau", "2", "--ell", "2", "--size", "4"],
             "the alphabet size q must be at least 2, got 1",
         ),
+        (
+            ["bounds", "--q", "3", "--n", "-4", "--tau", "2", "--ell", "1", "--size", "4", "--bound", "reiger_group"],
+            "n must be at least 1, got -4",
+        ),
         (["count-bursts", "--q", "3", "--n", "4", "--tau", "0"], "tau must satisfy 1 <= tau <= 4, got 0"),
         (["count-bursts", "--q", "-3", "--n", "4", "--tau", "2"], "the alphabet size q must be at least 2, got -3"),
         (["count-bursts", "--q", "1", "--n", "4", "--tau", "2"], "the alphabet size q must be at least 2, got 1"),
@@ -373,7 +377,7 @@ NON_NEGATIVE = "--cap must be a non-negative integer, got "
     ],
     ids=[
         "cap-negative", "cap-text", "alpha-99", "alpha-minus-2", "beta-minus-3", "delta-5",
-        "bounds-q1", "tau-0", "count-q-minus-3", "count-q1", "no-q", "decode-ell-0", "decode-ell-minus-1",
+        "bounds-q1", "bounds-n-minus-4", "tau-0", "count-q-minus-3", "count-q1", "no-q", "decode-ell-0", "decode-ell-minus-1",
         "reproduce-example1-q0", "reproduce-rs_grid-q0", "reproduce-rs_grid-n0", "reproduce-rs_grid-n2",
         "reproduce-count-minus-5", "reproduce-samples-0",
     ],

@@ -333,6 +333,28 @@ def test_neg_matches_add_inverse(fields):
             assert f.add(a, f.neg(a)) == 0
 
 
+@pytest.mark.parametrize("q", [9, 25, 27, 81, 6561])
+def test_odd_pm_neg_negates_every_digit(fields, q):
+    """neg(a) negates each base-p digit mod p, neg(0) == 0, and
+    sub(a, b) == digitwise_add(a, neg(b)): every element and pair up to
+    q = 81, a seeded 2,000-element sample of GF(6561) paired with a
+    shuffle of itself."""
+    f = fields[q]
+    if q <= 81:
+        elements = range(q)
+        pairs = itertools.product(elements, repeat=2)
+    else:
+        rng = random.Random(q)
+        elements = rng.sample(range(1, q), 1999) + [0]
+        pairs = zip(elements, rng.sample(elements, len(elements)))
+    assert f.neg(0) == 0
+    for a in elements:
+        digits = oracle_digits(a, f.p, f.m)
+        assert f.neg(a) == sum(-d % f.p * f.p**k for k, d in enumerate(digits)), (q, a)
+    for a, b in pairs:
+        assert f.sub(a, b) == digitwise_add(a, f.neg(b), f.p), (q, a, b)
+
+
 def test_serialization_round_trip(fields):
     for f in (fields[16], fields[7], fields[4]):
         g = field_from_dict(f.to_dict())
@@ -345,6 +367,8 @@ def test_pickle_round_trip_keeps_tables_and_row_kernel(fields):
         g = pickle.loads(pickle.dumps(f))
         assert g == f and tables(g) == tables(f)
         assert g.axpy(2, [1, 0, 3], [1, 2, 0]) == f.axpy(2, [1, 0, 3], [1, 2, 0])
+        assert [g.add(3, b) for b in range(f.q)] == [f.add(3, b) for b in range(f.q)]
+        assert [g.neg(a) for a in range(f.q)] == [f.neg(a) for a in range(f.q)]
 
 
 def test_field_from_order(fields):

@@ -21,7 +21,7 @@ from burstkit import (
     solve_affine,
     vandermonde,
 )
-from burstkit.matpoly import NEG_INF, left_null_space, poly_degree, poly_trim, span_members
+from burstkit.matpoly import NEG_INF, left_null_space, mat_vec, poly_degree, poly_trim, span_members, vstack
 
 
 def test_poly_ring_examples(fields):
@@ -287,3 +287,66 @@ def test_null_spaces_are_empty_exactly_at_full_column_rank(fields):
         kinds.add((basis == [], (m.rows > m.cols) - (m.rows < m.cols)))
     # (empty, tall - wide): a wide matrix never has full column rank
     assert kinds == {(True, 0), (True, 1), (False, -1), (False, 0), (False, 1)}
+
+
+# -- the Mat contract: one form, rows copied in and out ------------------
+
+def flat(m):
+    return [x for row in m.to_rows() for x in row]
+
+
+def test_flat_and_row_constructors_agree_and_transpose_twice_is_the_identity(fields):
+    """On every oracle shape, 0 x n and n x 0 included."""
+    for f, m in oracle_matrices(fields):
+        rows = m.to_rows()
+        assert Mat(f, m.rows, m.cols, flat(m)) == Mat.from_rows(f, rows, cols=m.cols) == m
+        t = m.transpose()
+        assert (t.rows, t.cols) == (m.cols, m.rows) and len(t.to_rows()) == m.cols
+        assert all(t.at(j, i) == m.at(i, j) for i in range(m.rows) for j in range(m.cols))
+        assert t.transpose() == m, (f.q, rows)
+
+
+def test_rows_handed_out_or_taken_in_are_copies(fields):
+    """Mutating what to_rows() or row(i) returns, the rows given to
+    from_rows, or the rows of a vstack input leaves the matrix as it was.
+    Mat has no mutator, so the vstack inputs are changed through their
+    private rows."""
+
+    def bump(f, row):
+        row[:] = [f.add(x, 1) for x in row]  # changes every entry
+
+    for f, m in oracle_matrices(fields):
+        before = Mat(f, m.rows, m.cols, flat(m))
+        for row in m.to_rows():
+            bump(f, row)
+        for i in range(m.rows):
+            bump(f, m.row(i))
+        rows = m.to_rows()
+        taken = Mat.from_rows(f, rows, cols=m.cols)
+        for row in rows:
+            bump(f, row)
+        a, b = Mat(f, m.rows, m.cols, flat(m)), Mat(f, m.rows, m.cols, flat(m))
+        stacked = vstack([a, b])
+        for row in a._rows + b._rows:
+            bump(f, row)
+        assert m == before and taken == before, (f.q, before.to_rows())
+        assert stacked == Mat.from_rows(f, before.to_rows() * 2, cols=m.cols), (f.q, before.to_rows())
+
+
+def test_kernels_leave_their_arguments_unchanged(fields):
+    rng = random.Random(31)
+    for f, m in oracle_matrices(fields):
+        before = Mat(f, m.rows, m.cols, flat(m))
+        v = [rng.randrange(f.q) for _ in range(m.cols)]
+        b = [rng.randrange(f.q) for _ in range(m.rows)]
+        right = Mat(f, m.cols, 2, [rng.randrange(f.q) for _ in range(2 * m.cols)])
+        left = Mat(f, 2, m.rows, [rng.randrange(f.q) for _ in range(2 * m.rows)])
+        args = [list(v), list(b), Mat(f, m.cols, 2, flat(right)), Mat(f, 2, m.rows, flat(left))]
+        for kernel in (rank, rref, null_space, left_null_space, determinant):
+            if kernel is not determinant or m.rows == m.cols:
+                kernel(m)
+        solve_affine(m, b)
+        mat_mul(m, right)
+        mat_mul(left, m)
+        mat_vec(m, v)
+        assert m == before and [v, b, right, left] == args, (f.q, before.to_rows())
