@@ -226,8 +226,9 @@ def cmd_certify(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    cfg = {"q": args.q, "n": args.n, "tau": args.tau, "ell": args.ell, "size": args.size}
     params = (args.q, args.n, args.tau, args.ell, args.size)
+    # every flag checked as given, also those a single bound ignores
+    cfg = bounds_mod._inputs(*params)
     if args.bound == "all":
         verdicts = bounds_mod.all_verdicts(*params)
     elif args.bound in bounds_mod.BOUNDS:
@@ -416,14 +417,7 @@ def cmd_reproduce(args) -> int:
     if not checks:
         raise ValueError(f"reproduce {item} has no checks to run for these flags")
     all_pass = all(c["pass"] for c in checks)
-    cfg = {
-        "item": item,
-        "q": args.q,
-        "n": args.n,
-        "seed": args.seed,
-        "samples": args.samples,
-        "count": args.count,
-    }
+    cfg = {k: getattr(args, k) for k in ("item", "q", "n", "seed", "samples", "count")}
     if args.format == "csv":
         _emit_csv(checks, args)
     else:
@@ -433,18 +427,27 @@ def cmd_reproduce(args) -> int:
 
 # -- parser ---------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, cap: bool = False) -> None:
-    p.add_argument("--output", help="write the JSON report to this path")
-    if cap:
-        p.add_argument("--cap", help="one value for every enumeration cap the command "
-                       "applies, in place of BURSTKIT_CAP_* and the defaults")
-
-
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="burstkit", description="burst list decoding certification toolkit"
     )
     sub = top.add_subparsers(dest="subcommand", required=True)
+
+    def command(name, func, text, required=(), optional=(), parents=(), cap=False):
+        """A subcommand with its integer flags, --output, --cap where the
+        command applies enumeration caps, and the function it runs."""
+        p = sub.add_parser(name, parents=parents, help=text)
+        for flag in required:
+            p.add_argument(f"--{flag}", type=int, required=True)
+        for flag in optional:
+            p.add_argument(f"--{flag}", type=int)
+        p.add_argument("--output", help="write the JSON report to this path")
+        if cap:
+            p.add_argument("--cap", help="one value for every enumeration cap the command "
+                           "applies, in place of BURSTKIT_CAP_* and the defaults")
+        p.set_defaults(func=func)
+        return p
+
     # where decode and certify take their code from
     source = argparse.ArgumentParser(add_help=False)
     source.add_argument("--code", help="code file (JSON)")
@@ -453,82 +456,50 @@ def build_parser() -> argparse.ArgumentParser:
         source.add_argument(flag, type=int)
     source.add_argument("--stars")
 
-    p = sub.add_parser("count-bursts", help="closed-form burst count")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tau", type=int, required=True)
+    p = command("count-bursts", cmd_count_bursts, "closed-form burst count", ("q", "n", "tau"))
     p.add_argument("--phased", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=cmd_count_bursts)
 
-    p = sub.add_parser("construct", help="emit a code file")
+    p = command("construct", cmd_construct, "emit a code file", ("q",), ("n", "r", "delta"))
     p.add_argument("--kind", dest="construct", required=True, choices=list(_CONSTRUCTIONS))
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--delta", type=int)
     p.add_argument("--stars", help="six comma-separated element indices")
-    _add_common(p)
-    p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("decode", parents=[source], help="complete list decoding of one word")
+    p = command("decode", cmd_decode, "complete list decoding of one word", ("tau",), ("ell",),
+                [source], cap=True)
     p.add_argument("--y", required=True, help="received word, comma-separated indices")
-    p.add_argument("--tau", type=int, required=True)
-    p.add_argument("--ell", type=int)
     p.add_argument("--phased", action="store_true")
-    _add_common(p, cap=True)
-    p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("certify", parents=[source], help="detection + list-size certification")
-    p.add_argument("--tau", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    _add_common(p, cap=True)
-    p.set_defaults(func=cmd_certify)
+    command("certify", cmd_certify, "detection + list-size certification", ("tau", "ell"),
+            parents=[source], cap=True)
 
-    p = sub.add_parser("bounds", help="evaluate redundancy bounds")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tau", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--size", type=int, required=True)
+    p = command("bounds", cmd_bounds, "evaluate redundancy bounds", ("q", "n", "tau", "ell", "size"))
     p.add_argument("--bound", default="all")
-    _add_common(p)
-    p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("resultant", help="evaluate the determinant identity")
+    p = command("resultant", cmd_resultant, "evaluate the determinant identity", ("alpha",))
     p.add_argument("--field", "--q", dest="q", type=int, required=True,
                    help="field order (a prime power)")
-    p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--mu", required=True, help="comma-separated block sizes")
     p.add_argument("--beta", required=True, help="comma-separated nonzero indices")
+    modes = ["direct", "closed-form", "both", "witness"]
     mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--mode", default="both",
-                      choices=["direct", "closed-form", "both", "witness"])
-    mode.add_argument("--direct", dest="mode", action="store_const", const="direct")
-    mode.add_argument("--closed-form", dest="mode", action="store_const",
-                      const="closed-form")
-    mode.add_argument("--both", dest="mode", action="store_const", const="both")
-    mode.add_argument("--witness", dest="mode", action="store_const", const="witness")
-    _add_common(p)
-    p.set_defaults(func=cmd_resultant)
+    mode.add_argument("--mode", default="both", choices=modes)
+    for name in modes:
+        mode.add_argument(f"--{name}", dest="mode", action="store_const", const=name)
 
-    p = sub.add_parser("reproduce", help="scripted end-to-end reproductions")
+    p = command("reproduce", cmd_reproduce, "scripted end-to-end reproductions",
+                optional=("q", "n", "seed", "samples", "count"))
+    p.set_defaults(seed=0, samples=500, count=1000)
     p.add_argument("item", choices=list(_REPRODUCE))
-    p.add_argument("--q", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=500)
-    p.add_argument("--count", type=int, default=1000)
     p.add_argument("--format", default="json", choices=["json", "csv"])
-    _add_common(p)
-    p.set_defaults(func=cmd_reproduce)
 
     return top
 
 
+# Built once per process: parse_args only reads it and fills a new namespace.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if getattr(args, "cap", None) is not None:
             args.cap = _caps.parse("--cap", args.cap)

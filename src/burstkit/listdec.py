@@ -455,11 +455,11 @@ def max_list_size(
     pairs, work["buckets"], max_count, key = _scan_numpy(code, spans) or _scan_pure(code, spans)
     if pairs != n_bursts * (1 if linear else code.size):
         raise AssertionError("bucketed burst count disagrees with the closed form")
-    # y is any word whose syndrome under the check has the key's base-q digits
-    check = _check(code)
-    y = solve_affine(check, [key // ctx.q**i % ctx.q for i in range(check.rows)])[0]
     witness = None
     if ell is not None and max_count > ell:
+        # y is any word whose syndrome under the check has the key's base-q digits
+        check = _check(code)
+        y = solve_affine(check, [key // ctx.q**i % ctx.q for i in range(check.rows)])[0]
         # limit covered the scan, so it also covers each window's q^tau
         # solutions and the |C| codewords that decode checks against it
         found = decode(code, y, tau, phased, cap=limit).candidates

@@ -205,6 +205,30 @@ def test_reproduce_rs_grid_small(capsys):
     assert any(n.startswith("converse_") for n in names)
 
 
+def test_reproduce_appendix_a_samples_when_the_grid_is_large(capsys):
+    # 4^6 = 4096 star vectors exceed 1000, so --samples of them are drawn
+    code, payload = run_cli(capsys, "reproduce", "appendix_a", "--q", "4", "--samples", "3", "--seed", "1")
+    assert code == 0 and payload["all_pass"] is True
+    assert payload["checks"][0] == {
+        "name": "all_star_vectors_certified", "pass": True, "total": 3, "failures": 0
+    }
+
+
+def test_main_keeps_no_flag_from_one_call_to_the_next(capsys):
+    """The parser is built once per process; each call's report must be
+    the one that the same flags give when they come first."""
+    decode = ["decode", "--construct", "rs", "--q", "7", "--n", "6", "--r", "2", "--y", "0,1,0,0,0,0", "--tau", "2"]
+    grid = ["reproduce", "rs_grid", "--q", "7"]
+    for earlier, later, flag, default in (
+        (decode + ["--phased"], decode, "phased", False),
+        (grid + ["--n", "6"], grid, "n", None),
+    ):
+        _, first = run_cli(capsys, *later)
+        run_cli(capsys, *earlier)
+        _, again = run_cli(capsys, *later)
+        assert again == first and again["config"][flag] == default
+
+
 def _rs7_file(tmp_path, edit):
     """An RS GF(7) code file after edit, which changes the document in
     place or returns the one to write instead."""
@@ -330,6 +354,8 @@ def test_decode_cap_exceeded_exit(capsys):
 
 RS7 = ["--construct", "rs", "--q", "7", "--n", "6", "--r", "2"]
 NON_NEGATIVE = "--cap must be a non-negative integer, got "
+# every flag but --ell; three bounds read no --ell of their own
+BOUNDS = ["bounds", "--q", "3", "--n", "4", "--tau", "2", "--size", "4"]
 
 
 @pytest.mark.parametrize(
@@ -361,10 +387,18 @@ NON_NEGATIVE = "--cap must be a non-negative integer, got "
             ["bounds", "--q", "3", "--n", "-4", "--tau", "2", "--ell", "1", "--size", "4", "--bound", "reiger_group"],
             "n must be at least 1, got -4",
         ),
+        (
+            ["bounds", "--q", "3", "--n", "-4", "--tau", "-2", "--ell", "2", "--size", "4", "--bound", "lemma_Mell"],
+            "n must be at least 1, got -4",
+        ),
+        ([*BOUNDS, "--ell", "-5", "--bound", "general_ell2"], "ell must be at least 1, got -5"),
+        ([*BOUNDS, "--ell", "-5", "--bound", "no_detection_ell2"], "ell must be at least 1, got -5"),
+        ([*BOUNDS, "--ell", "-5", "--bound", "lemma_Mell"], "ell must be at least 1, got -5"),
         (["count-bursts", "--q", "3", "--n", "4", "--tau", "0"], "tau must satisfy 1 <= tau <= 4, got 0"),
         (["count-bursts", "--q", "-3", "--n", "4", "--tau", "2"], "the alphabet size q must be at least 2, got -3"),
         (["count-bursts", "--q", "1", "--n", "4", "--tau", "2"], "the alphabet size q must be at least 2, got 1"),
         (["certify", "--construct", "ex1", "--tau", "2", "--ell", "1"], "a construction needs --q"),
+        (["certify", "--construct", "rs", "--q", "7", "--tau", "2", "--ell", "1"], "rs construction needs --n and --r"),
         (["decode", *RS7, "--y", "1,2,3,4,5,6", "--tau", "2", "--ell", "0"], "the list size bound must be at least 1"),
         (["decode", *RS7, "--y", "1,2,3,4,5,6", "--tau", "2", "--ell", "-1"], "the list size bound must be at least 1"),
         # a flag that is present is used as given, even when it is 0
@@ -377,7 +411,9 @@ NON_NEGATIVE = "--cap must be a non-negative integer, got "
     ],
     ids=[
         "cap-negative", "cap-text", "alpha-99", "alpha-minus-2", "beta-minus-3", "delta-5",
-        "bounds-q1", "bounds-n-minus-4", "tau-0", "count-q-minus-3", "count-q1", "no-q", "decode-ell-0", "decode-ell-minus-1",
+        "bounds-q1", "bounds-n-minus-4", "lemma_Mell-n-minus-4", "general_ell2-ell-minus-5",
+        "no_detection_ell2-ell-minus-5", "lemma_Mell-ell-minus-5", "tau-0", "count-q-minus-3", "count-q1", "no-q",
+        "rs-no-n-r", "decode-ell-0", "decode-ell-minus-1",
         "reproduce-example1-q0", "reproduce-rs_grid-q0", "reproduce-rs_grid-n0", "reproduce-rs_grid-n2",
         "reproduce-count-minus-5", "reproduce-samples-0",
     ],

@@ -268,6 +268,35 @@ def test_certify_refutation_with_witness(fields):
     assert not replay_witness(code, bad2, 2)
 
 
+@pytest.fixture(scope="module")
+def rs7_witness(fields):
+    """A replayed refutation of RS GF(7), n=6, r=3 at tau = 2, ell = 1;
+    its first burst covers positions 1 and 2, across two aligned windows."""
+    code = rs_code(fields[7], 6, 3)
+    witness = certify(code, 2, 1).witness
+    assert replay_witness(code, witness, 2)
+    assert witness[0][1] == BurstPattern(1, (5, 3))
+    return code, witness
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda code, w: (None, 2, False),
+        lambda code, w: (w[:1], 2, False),
+        lambda code, w: (w, 1, False),  # each burst covers two positions
+        lambda code, w: (w, 2, True),
+        # the same non-codeword added to every codeword keeps the sums equal
+        lambda code, w: (tuple((_word_add(code.ctx, c, (1, 0, 0, 0, 0, 0)), p) for c, p in w), 2, False),
+    ],
+    ids=["none", "one-pair", "not-a-tau-burst", "phased-unaligned", "not-a-codeword"],
+)
+def test_replay_rejects_a_tampered_witness(rs7_witness, tamper):
+    code, witness = rs7_witness
+    bad, tau, phased = tamper(code, witness)
+    assert replay_witness(code, bad, tau, phased) is False
+
+
 def test_explicit_witness_replay(fields):
     code = example_code_1(fields[3])
     rep = certify(code, 2, 1)  # max list is exactly 2, so ell = 1 fails

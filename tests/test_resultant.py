@@ -3,6 +3,7 @@ import random
 import pytest
 
 from burstkit import (
+    RelationWitness,
     ResultantInstance,
     boundary_instance,
     coeff_band,
@@ -213,6 +214,23 @@ def test_kernel_relation_examples():
     assert w is not None and verify_relation(sing, w)
     # identical blocks cancel through constant multipliers
     assert all(len(p) <= 1 for p in w.polys)
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda polys: (*polys, ()),
+        lambda polys: tuple(() for _ in polys),
+        # x times a relation is a relation, but each block reaches degree mu_i = 1
+        lambda polys: tuple((0, *p) if p else p for p in polys),
+    ],
+    ids=["block-count", "all-zero", "degree-mu_i"],
+)
+def test_verify_relation_rejects_a_tampered_relation(fields, tamper):
+    sing = ResultantInstance(fields[5], 2, (1, 1), (3, 3))
+    w = find_kernel_relation(sing)
+    assert verify_relation(sing, w)
+    assert verify_relation(sing, RelationWitness(tamper(w.polys))) is False
 
 
 def test_kernel_collision_equivalence_with_boundaries():
