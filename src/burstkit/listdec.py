@@ -23,13 +23,16 @@ bucket holds the pairs summing to one word, one offset per codeword.
 
 The scan packs a syndrome's rows*m base-p digit lanes (lane m*i + k
 holds digit k of row i) into integers, adds them lane-wise mod p with
-the lane add the field build uses (gf._packing), and counts the keys in
-enumeration order. The pure-Python scan holds each syndrome in one int
-and is the fallback and the reference the tests compare against; when
-numpy is importable the same recursion runs on int64 words. The scan
-only counts: the refutation witness comes from decode, run on the worst
-word y, whose syndrome is the smallest key of the largest bucket (J
-puts position 0 in the top row, so for an explicit code y is the
+the lane add the field build uses (gf._packing), and counts the keys.
+The pure-Python scan holds each syndrome in one int, counts it in a
+Counter, and is the fallback and the reference the tests compare
+against. When numpy is importable the same recursion runs on int64
+words. Its keys are stored as uint32 when one word of w * lanes <= 32
+bits holds them, else as int64, sorted in place and counted 2^16 at a
+time, so the scan holds 4 or 8 bytes per key and no copy of them. The
+scan only counts: the refutation witness comes from decode, run on the
+worst word y, whose syndrome is the smallest key of the largest bucket
+(J puts position 0 in the top row, so for an explicit code y is the
 smallest word of the largest sum bucket).
 
 Detection is tested window by window, from the same tables: a nonzero
@@ -370,6 +373,28 @@ def _scan_pure(code, spans):
     return sum(buckets.values()), len(buckets), max_count, key(best)
 
 
+def _runs(np, keys, block=1 << 16):
+    """(distinct keys, longest run, its key) of a sorted array, read a
+    block at a time so that no temporary is longer than one block. A
+    block's first run continues the run the block before ended with when
+    their keys are equal; a run replaces the best only when it is
+    strictly longer, so the smallest key of the longest run wins."""
+    distinct, best, best_key, last, run = 0, 0, None, None, 0
+    for lo in range(0, keys.size, block):
+        blk = keys[lo : lo + block]
+        ends = np.append(np.flatnonzero(blk[1:] != blk[:-1]), blk.size - 1)  # each run's last index
+        lengths = np.diff(ends, prepend=-1)
+        if blk[0] == last:
+            lengths[0] += run
+            distinct -= 1
+        distinct += lengths.size
+        i = int(np.argmax(lengths))
+        if lengths[i] > best:
+            best, best_key = int(lengths[i]), int(blk[ends[i]])
+        last, run = blk[-1], int(lengths[-1])
+    return distinct, best, best_key
+
+
 def _scan_numpy(code, spans):
     """The same result as _scan_pure from _pure_syndromes' recursion on
     int64 arrays; None when numpy is missing or a key would not fit in
@@ -378,7 +403,9 @@ def _scan_numpy(code, spans):
     The packed lanes are split into k words of 63 // w lanes. For k = 1
     the word sorts as the key does and only the winner is converted; for
     k > 1 each span's grid is turned into the key sum(digit * p^lane)
-    before it is stored.
+    before it is stored. The keys are stored as uint32 when k = 1 and
+    the w * lanes bits fit in 32, else as int64, then sorted in place
+    and counted by _runs a block at a time.
     """
     p, lanes = code.ctx.p, _check(code).rows * code.ctx.m
     if p**lanes >= 1 << 63:
@@ -406,7 +433,8 @@ def _scan_numpy(code, spans):
     offsets, tabs = _column_tables(code)
     offsets, tabs = split(offsets), [split(tab) for tab in tabs]
     q, size = code.ctx.q, offsets[0].size
-    keys = np.empty(size * (1 + sum((q - 1) * q ** (width - 1) for _, width in spans)), dtype=np.int64)
+    dtype = np.uint32 if k == 1 and w * lanes <= 32 else np.int64
+    keys = np.empty(size * (1 + sum((q - 1) * q ** (width - 1) for _, width in spans)), dtype=dtype)
     keys[:size] = keys_of(offsets)  # the zero burst
     at = size
     for start, width in spans:
@@ -418,9 +446,9 @@ def _scan_numpy(code, spans):
         at += grid.size
     if at != keys.size:
         raise AssertionError("the span grids left syndrome keys unfilled")
-    uniq, counts = np.unique(keys, return_counts=True)
-    best = np.argmax(counts)  # uniq is sorted: the smallest key of the largest bucket
-    return keys.size, uniq.size, int(counts[best]), key(int(uniq[best])) if k == 1 else int(uniq[best])
+    keys.sort()
+    buckets, max_count, best = _runs(np, keys)
+    return keys.size, buckets, max_count, key(best) if k == 1 else best
 
 
 def max_list_size(

@@ -734,31 +734,39 @@ def paired_words_code(ctx, n):
 
 
 @pytest.mark.parametrize(
-    "q,n,r,tau,phased,h,k",
+    "q,n,r,tau,phased,h,k,dtype",
     [
-        (8, 7, 3, 3, True, "rs", 1),
-        (7, 6, 3, 3, False, "rs", 1),
-        (9, 8, 3, 2, False, "rs", 1),
-        (81, 10, 6, 2, False, "rs", 2),
-        (27, 13, 8, 3, True, "rs", 2),
-        (1009, 8, 6, 1, False, "rs", 2),
-        (81, 12, 6, 2, False, "twice", 2),
-        (5, 4, None, 2, False, "ex1", 1),
-        (7, 6, 3, 2, True, "expanded", 1),
-        (1009, 6, None, 1, False, "random", 2),
+        (8, 7, 3, 3, True, "rs", 1, "uint32"),
+        (7, 6, 3, 3, False, "rs", 1, "uint32"),
+        (9, 8, 3, 2, False, "rs", 1, "uint32"),
+        (11, 10, 5, 4, False, "rs", 1, "uint32"),
+        (25, 24, 5, 3, False, "rs", 1, "int64"),
+        (81, 10, 6, 2, False, "rs", 2, "int64"),
+        (27, 13, 8, 3, True, "rs", 2, "int64"),
+        (1009, 8, 6, 1, False, "rs", 2, "int64"),
+        (81, 12, 6, 2, False, "twice", 2, "int64"),
+        (5, 4, None, 2, False, "ex1", 1, "uint32"),
+        (7, 6, 3, 2, True, "expanded", 1, "uint32"),
+        (1009, 6, None, 1, False, "random", 2, "int64"),
     ],
     ids=[
-        "gf8-phased", "gf7", "gf9", "gf81-r6", "gf27-r8-phased", "gf1009-r6", "gf81-repeated-columns",
-        "ex1-gf5", "expanded-rs7-phased", "random-gf1009-n6",
+        "gf8-phased", "gf7", "gf9", "gf11-r5-tau4", "gf25-r5-tau3", "gf81-r6", "gf27-r8-phased", "gf1009-r6",
+        "gf81-repeated-columns", "ex1-gf5", "expanded-rs7-phased", "random-gf1009-n6",
     ],
 )
-def test_numpy_scan_matches_pure(q, n, r, tau, phased, h, k):
+def test_numpy_scan_matches_pure(monkeypatch, q, n, r, tau, phased, h, k, dtype):
     """The kernel on one int64 word (k = 1) and on k > 1 words, whose
     grids it turns into dense keys; "twice" is H = [I | I], whose
     buckets hold the bursts at j and j + r together. The explicit codes
     key by the n x n exchange check, so GF(1009) at n = 6 has six lanes
-    of 11 bits, one more than an int64 word holds."""
+    of 11 bits, one more than an int64 word holds. Keys of at most 32
+    bits are stored as uint32; GF(25) at r = 5 packs ten 4-bit lanes, so
+    its keys stay int64 with k = 1. GF(11) and GF(25) scan 94,501 and
+    330,625 keys, more than one counting block."""
     pytest.importorskip("numpy")
+    stored = []
+    runs = listdec._runs
+    monkeypatch.setattr(listdec, "_runs", lambda np, keys: stored.append(keys.dtype.name) or runs(np, keys))
     ctx = field_from_order(q)
     code = {
         "rs": lambda: rs_code(ctx, n, r),
@@ -774,8 +782,64 @@ def test_numpy_scan_matches_pure(q, n, r, tau, phased, h, k):
     assert max(1, -(-rows * ctx.m // (63 // w))) == k
     spans = list(anchored_spans(BurstSpace(n, tau, phased)))
     fast = listdec._scan_numpy(code, spans)
+    assert stored == [dtype]
     assert fast == listdec._scan_pure(code, spans)
     assert h != "random" or fast[2] == 2
+
+
+def _runs_by_counter(values):
+    buckets = Counter(values)
+    best = max(buckets.values())
+    return len(buckets), best, min(v for v, c in buckets.items() if c == best)
+
+
+@pytest.mark.parametrize("dtype", ["uint32", "int64"])
+@pytest.mark.parametrize("block", [1, 2, 3, 7, None], ids=["1", "2", "3", "7", "default"])
+def test_runs_match_counter(dtype, block):
+    """_runs against a Counter on sorted arrays, with the block size
+    passed in (None: the default)."""
+    np = pytest.importorskip("numpy")
+    b = block or 1 << 16
+    top = (1 << 32) - 1 if dtype == "uint32" else 1 << 62
+    rng = random.Random(b)
+
+    def runs(keys, lengths):
+        return [v for v, c in zip(keys, lengths) for _ in range(c)]
+
+    cases = [
+        [top],  # a single key
+        list(range(0, 40, 3)),  # all keys distinct
+        runs([1, 4, top], [3, 2 * b + 5, 2]),  # the longest run spans three blocks or more
+        runs([2, 5, top], [b, b + 1, 1]),  # the longest run starts at a block boundary
+        runs([3, 8, 9], [b + 1, 1, b + 1]),  # a tie, runs in different blocks: 3 wins
+        runs([3, 8], [2, 2]),  # a tie, both runs in one block when b >= 4
+    ] + [sorted(rng.randrange(rng.choice([2, 10, 1000])) for _ in range(rng.randrange(1, 80))) for _ in range(30)]
+    for values in cases:
+        arr = np.array(values, dtype=dtype)
+        got = listdec._runs(np, arr) if block is None else listdec._runs(np, arr, block)
+        assert got == _runs_by_counter(values), values[:3]
+
+
+def test_gf32_tau4_certify_memory():
+    """The GF(32) tau = 4 certify (28.5M bursts) peaks under 400 MiB: its
+    keys take 4 B each, sorted in place and counted a block at a time.
+    The child reports its own peak (RUSAGE_SELF), not the session's
+    other children."""
+    pytest.importorskip("numpy")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(burstkit.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = (
+        "import resource, sys\n"
+        "from burstkit import cli\n"
+        "code = cli.main(['certify', '--construct', 'rs', '--q', '32', '--n', '31', '--r', '6', '--tau', '4', '--ell', '2'])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "sys.exit(code)\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=300
+    )
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout.split()[-1]) < 400 * 1024  # ru_maxrss is in KiB on Linux
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 1009])
