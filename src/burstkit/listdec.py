@@ -95,11 +95,13 @@ def _as_code(code):
 
 
 def _word_sub(ctx, a, b) -> Word:
-    return tuple(ctx.sub(x, y) for x, y in zip(a, b))
+    add, neg = ctx.add, ctx.neg
+    return tuple(add(x, neg(y)) for x, y in zip(a, b))
 
 
 def _word_add(ctx, a, b) -> Word:
-    return tuple(ctx.add(x, y) for x, y in zip(a, b))
+    add = ctx.add
+    return tuple(add(x, y) for x, y in zip(a, b))
 
 
 def _support_in(word, win: range) -> bool:

@@ -48,18 +48,20 @@ def poly_add(ctx: FieldCtx, a: Poly, b: Poly) -> Poly:
 def poly_mul(ctx: FieldCtx, a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return ()
+    axpy = ctx.axpy
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            out[i : i + len(b)] = ctx.axpy(x, out[i : i + len(b)], b)
+            out[i : i + len(b)] = axpy(x, out[i : i + len(b)], b)
     return poly_trim(out)
 
 
 def poly_eval(ctx: FieldCtx, a: Poly, x: Fe) -> Fe:
     """Horner evaluation."""
+    add, mul = ctx.add, ctx.mul
     acc = 0
     for c in reversed(a):
-        acc = ctx.add(ctx.mul(acc, x), c)
+        acc = add(mul(acc, x), c)
     return acc
 
 
@@ -67,6 +69,7 @@ def poly_divmod(ctx: FieldCtx, a: Poly, b: Poly) -> tuple[Poly, Poly]:
     """Quotient and remainder with deg(remainder) < deg(b)."""
     if not b:
         raise ZeroDivisionError("polynomial division by the zero polynomial")
+    axpy, neg, mul = ctx.axpy, ctx.neg, ctx.mul
     rem = list(a)
     db = len(b) - 1
     lead_inv = ctx.inv(b[-1])
@@ -77,17 +80,18 @@ def poly_divmod(ctx: FieldCtx, a: Poly, b: Poly) -> tuple[Poly, Poly]:
         c = rem[top]
         if c == 0:
             continue
-        f = ctx.mul(c, lead_inv)
+        f = mul(c, lead_inv)
         quot[top - db] = f
-        rem[top - db : top + 1] = ctx.axpy(ctx.neg(f), rem[top - db : top + 1], b)
+        rem[top - db : top + 1] = axpy(neg(f), rem[top - db : top + 1], b)
     return poly_trim(quot), poly_trim(rem)
 
 
 def poly_from_roots(ctx: FieldCtx, roots) -> Poly:
     """Monic polynomial with the given root multiset."""
+    axpy, neg = ctx.axpy, ctx.neg
     out = [1]
     for r in roots:
-        out = ctx.axpy(ctx.neg(r), [0, *out], [*out, 0])
+        out = axpy(neg(r), [0, *out], [*out, 0])
     return tuple(out)
 
 
@@ -312,12 +316,13 @@ def solve_affine(a: Mat, b) -> tuple[list[Fe], list[list[Fe]]] | None:
 def span_members(ctx: FieldCtx, origin, basis) -> list[tuple[Fe, ...]]:
     """Every member of origin + span(basis), in lex order of the
     coefficient vector (element indices, the last basis vector fastest)."""
+    axpy = ctx.axpy
     words = [tuple(origin)]
     for b in basis:
         nxt = []
         for w in words:
             nxt.append(w)
-            nxt.extend(tuple(ctx.axpy(a, w, b)) for a in range(1, ctx.q))
+            nxt.extend(tuple(axpy(a, w, b)) for a in range(1, ctx.q))
         words = nxt
     return words
 

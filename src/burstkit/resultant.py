@@ -10,8 +10,18 @@ beta-independent constant times the product of all cross-block root
 differences, and it vanishes exactly when two blocks collide, i.e.
 beta_k / beta_i is a power alpha^t with -mu_i < t < mu_k. For two
 blocks the stacked matrix is the Sylvester arrangement and the
-determinant is the classical resultant. The closed form's constant is
-one discrete-log sum over alpha^t - alpha^s = alpha^s (alpha^(t-s) - 1).
+determinant is the classical resultant.
+
+Nothing here multiplies polynomials: every quantity is read off the
+gap table d[j] = log(alpha^j - 1), 1 <= j < r, which exists because
+order(alpha) >= r. A block's coefficients come from the q-binomial
+theorem, each one a running log sum over d, and all bands of the
+stacked matrix share one table. The closed form's constant is one
+discrete-log sum over alpha^t - alpha^s = alpha^s (alpha^(t-s) - 1),
+taken from prefix sums of d. Its cross-block factors
+beta_k alpha^s - beta_i alpha^t = beta_i alpha^t (gamma alpha^(s-t) - 1),
+gamma = beta_k / beta_i, depend on (s, t) only through the gap s - t,
+so each block pair is one log sum with a multiplicity per gap.
 
 Everything here is certified by evaluation over the finite field; no
 symbolic computation is performed.
@@ -21,20 +31,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate, combinations
 from random import Random
 
 from .gf import Fe, FieldCtx
 from .matpoly import (
     Mat,
     Poly,
+    _wrap,
     determinant,
     left_null_space,
     poly_add,
-    poly_from_roots,
     poly_mul,
     poly_trim,
-    vstack,
 )
 
 
@@ -98,27 +107,60 @@ class RelationWitness:
     polys: tuple[Poly, ...]
 
 
+def _log_gaps(ctx: FieldCtx, alpha: Fe, k: int) -> list[int]:
+    """The gap table: d[j] = log(alpha^j - 1) for 1 <= j < k, and d[0] = 0.
+    Every entry exists while k <= order(alpha); an instance has
+    order(alpha) >= r, so k = r always works."""
+    log, add, mul, m1 = ctx.log, ctx.add, ctx.mul, ctx.neg(1)
+    d, a = [0], 1
+    for _ in range(1, k):
+        a = mul(a, alpha)
+        d.append(log(add(a, m1)))
+    return d
+
+
+def _run_coeffs(ctx: FieldCtx, d: list[int], alpha: Fe, beta: Fe, tau: int) -> list[Fe]:
+    """prod_{j<tau} (x - beta alpha^j), lowest degree first, from the
+    q-binomial theorem (d must reach index tau). The coefficient of
+    x^(tau-k) is (-1)^k e_k with e_k = beta^k alpha^C(k,2) [tau choose k]_alpha,
+    so e_k / e_(k-1) = beta alpha^(k-1) (alpha^(tau-k+1) - 1) / (alpha^k - 1),
+    and the log of each coefficient is a running sum over d."""
+    la, step = ctx.log(alpha), ctx.log(beta) + ctx.log(ctx.neg(1))
+    pw, gen = ctx.pow, ctx.generator
+    e, out = 0, [1]
+    for k in range(1, tau + 1):
+        e += step + (k - 1) * la + d[tau - k + 1] - d[k]
+        out.append(pw(gen, e))
+    out.reverse()
+    return out
+
+
+def _band_rows(coeffs: list[Fe], m: int) -> list[list[Fe]]:
+    """m rows: row h holds coeffs shifted right by h, in a row of width
+    len(coeffs) + m - 1."""
+    return [[0] * h + coeffs + [0] * (m - 1 - h) for h in range(m)]
+
+
 def root_run_poly(inst: ResultantInstance, i: int) -> Poly:
     """Monic polynomial of block i: roots beta_i * alpha^j, j < tau_i."""
-    roots = accumulate(repeat(inst.alpha, inst.r - inst.mu[i] - 1), inst.ctx.mul, initial=inst.beta[i])
-    return poly_from_roots(inst.ctx, roots)
+    ctx, alpha, tau = inst.ctx, inst.alpha, inst.taus[i]
+    return tuple(_run_coeffs(ctx, _log_gaps(ctx, alpha, tau + 1), alpha, inst.beta[i], tau))
 
 
 def coeff_band(inst: ResultantInstance, i: int) -> Mat:
     """mu_i x r band matrix: row h holds the coefficients of x^h * M_i."""
-    coeffs = root_run_poly(inst, i)
-    r = inst.r
-    rows = []
-    for h in range(inst.mu[i]):
-        row = [0] * r
-        row[h : h + len(coeffs)] = coeffs
-        rows.append(row)
-    return Mat.from_rows(inst.ctx, rows, cols=r)
+    return _wrap(inst.ctx, _band_rows(list(root_run_poly(inst, i)), inst.mu[i]), inst.r)
 
 
 def stacked_matrix(inst: ResultantInstance) -> Mat:
-    """The r x r stack of all block band matrices."""
-    return vstack([coeff_band(inst, i) for i in range(inst.ell + 1)])
+    """The r x r stack of all block band matrices, every band read off
+    one gap table."""
+    ctx, alpha, r = inst.ctx, inst.alpha, inst.r
+    d = _log_gaps(ctx, alpha, r)
+    rows = []
+    for b, m in zip(inst.beta, inst.mu):
+        rows += _band_rows(_run_coeffs(ctx, d, alpha, b, r - m), m)
+    return _wrap(ctx, rows, r)
 
 
 def det_stacked(inst: ResultantInstance) -> Fe:
@@ -135,9 +177,9 @@ def leading_constant(ctx: FieldCtx, alpha: Fe, mu) -> Fe:
     with detV(k) = prod_{s<t<k} (alpha^t - alpha^s) the power-node
     Vandermonde determinant and P - N = sum_i mu_i * C(tau_i, 2).
     Computed as one discrete-log sum: alpha^t - alpha^s =
-    alpha^s * (alpha^(t-s) - 1), and d[k] = log(alpha^k - 1) exists for
-    1 <= k < r because order(alpha) >= r. The sum is an exact integer,
-    reduced only at the final exponentiation.
+    alpha^s * (alpha^(t-s) - 1), so each product is O(r) from the prefix
+    sums D[j] = d[0] + ... + d[j-1] of the gap table. The sum is an exact
+    integer, reduced only at the final exponentiation.
     """
     mu = tuple(int(m) for m in mu)
     if any(m < 1 for m in mu):
@@ -146,30 +188,46 @@ def leading_constant(ctx: FieldCtx, alpha: Fe, mu) -> Fe:
     if alpha == 0 or ctx.order(alpha) < r:
         raise ValueError(f"alpha must have multiplicative order at least r = {r}")
     la = ctx.log(alpha)
-    d = [0, *(ctx.log(ctx.sub(ctx.pow(alpha, k), 1)) for k in range(1, r))]
+    D = list(accumulate(_log_gaps(ctx, alpha, r), initial=0))
 
-    def diffs(s_range, t_range):  # log prod (alpha^t - alpha^s) over s < t
-        return sum(s * la + d[t - s] for s in s_range for t in t_range if s < t)
+    def diffs(m, lo, hi):  # log prod (alpha^t - alpha^s) over s < m, lo <= t < hi, s < t
+        total = 0
+        for s in range(m):
+            a = max(lo, s + 1)
+            total += s * la * (hi - a) + D[hi - s] - D[a - s]
+        return total
 
-    total = la * sum(m * math.comb(r - m, 2) for m in mu) - 2 * diffs(range(r), range(r))
+    total = la * sum(m * math.comb(r - m, 2) for m in mu) - 2 * diffs(r, 0, r)
     for m in mu:
-        total += 2 * diffs(range(m), range(m)) + diffs(range(m), range(m, r))
+        total += 2 * diffs(m, 0, m) + diffs(m, m, r)
     return ctx.pow(ctx.generator, total)
 
 
 def det_product_form(inst: ResultantInstance) -> Fe:
     """The closed form: leading constant times all cross-block root
     differences prod_{i<k} prod_{s<mu_i} prod_{t<mu_k}
-    (beta_k alpha^s - beta_i alpha^t)."""
-    ctx, mu = inst.ctx, inst.mu
-    runs = [list(accumulate(repeat(inst.alpha, max(mu) - 1), ctx.mul, initial=b)) for b in inst.beta]
-    acc = leading_constant(ctx, inst.alpha, mu)
-    for i in range(inst.ell + 1):
-        for k in range(i + 1, inst.ell + 1):
-            for lhs in runs[k][: mu[i]]:
-                for rhs in runs[i][: mu[k]]:
-                    acc = ctx.mul(acc, ctx.sub(lhs, rhs))
-    return acc
+    (beta_k alpha^s - beta_i alpha^t).
+
+    Each factor is beta_i alpha^t * (gamma alpha^g - 1) with
+    gamma = beta_k / beta_i and gap g = s - t in (-mu_k, mu_i), which
+    occurs min(mu_i, mu_k + g) - max(0, g) times, so a block pair is one
+    log sum over its gaps. A factor vanishes iff gamma = alpha^(-g), a
+    ratio collision, and then the result is 0 at once.
+    """
+    ctx, alpha, mu = inst.ctx, inst.alpha, inst.mu
+    log, add, pw, gen, m1 = ctx.log, ctx.add, ctx.pow, ctx.generator, ctx.neg(1)
+    la = log(alpha)
+    logs = [log(b) for b in inst.beta]
+    total = 0
+    for i, k in combinations(range(len(mu)), 2):
+        mi, mk, lg = mu[i], mu[k], logs[k] - logs[i]
+        total += mi * mk * logs[i] + mi * math.comb(mk, 2) * la
+        for g in range(1 - mk, mi):
+            y = add(pw(gen, lg + g * la), m1)
+            if not y:
+                return 0
+            total += (min(mi, mk + g) - max(0, g)) * log(y)
+    return ctx.mul(leading_constant(ctx, alpha, mu), pw(gen, total))
 
 
 def _t_scan_order(mu_i: int, mu_k: int):

@@ -1,4 +1,5 @@
 import random
+from itertools import accumulate, repeat
 
 import pytest
 
@@ -15,6 +16,7 @@ from burstkit import (
     find_ratio_collision,
     leading_constant,
     poly_eval,
+    poly_from_roots,
     root_run_poly,
     sample_instance,
     stacked_matrix,
@@ -400,27 +402,76 @@ def seeded_corpus(fields, seed, orders, count, max_r):
                 yield sample_instance(fields[q], rng, ell, r)
 
 
+def tiny_field_instances(fields):
+    """Over GF(3/4/5/7/8/9): every alpha of order r >= 2, with the blocks
+    mu = (1, r - 1) and (r - 1, 1), so a band reads the gap table up to
+    its last entry d[order(alpha) - 1], with beta_0 = 1 or the generator
+    and every beta_1."""
+    for q in (3, 4, 5, 7, 8, 9):
+        ctx = fields[q]
+        for alpha in ctx.nonzero_elements():
+            r = ctx.order(alpha)
+            if r < 2:
+                continue
+            for mu in dict.fromkeys(((1, r - 1), (r - 1, 1))):
+                for b0 in (1, ctx.generator):
+                    for b1 in ctx.nonzero_elements():
+                        yield ResultantInstance(ctx, alpha, mu, (b0, b1))
+
+
+def running_product_root_run_poly(inst, i):
+    """root_run_poly's former product-built path: poly_from_roots over the
+    running product beta_i * alpha^j, j < tau_i."""
+    roots = accumulate(repeat(inst.alpha, inst.taus[i] - 1), inst.ctx.mul, initial=inst.beta[i])
+    return poly_from_roots(inst.ctx, roots)
+
+
+def check_against_the_oracles(inst):
+    ctx = inst.ctx
+    assert leading_constant(ctx, inst.alpha, inst.mu) == oracle_leading_constant(ctx, inst.alpha, inst.mu)
+    closed = det_product_form(inst)
+    assert closed == oracle_det_product_form(inst) == det_stacked(inst), (ctx, inst)
+    for i in range(inst.ell + 1):
+        assert root_run_poly(inst, i) == oracle_root_run_poly(inst, i) == running_product_root_run_poly(inst, i), (ctx, inst, i)
+    return closed
+
+
 def test_log_sum_closed_form_and_running_roots_match_the_oracles(fields):
     """leading_constant, det_product_form and root_run_poly against the
-    multiplicative forms, over prime, 2^m and odd p^m fields up to
-    GF(2^16), with r up to 12."""
-    singular = 0
-    for inst in seeded_corpus(fields, 1313, (13, 16, 17, 81, 256, 65536), 32, 12):
-        ctx = inst.ctx
-        assert leading_constant(ctx, inst.alpha, inst.mu) == oracle_leading_constant(ctx, inst.alpha, inst.mu)
-        closed = det_product_form(inst)
-        assert closed == oracle_det_product_form(inst) == det_stacked(inst), (ctx, inst)
-        for i in range(inst.ell + 1):
-            assert root_run_poly(inst, i) == oracle_root_run_poly(inst, i), (ctx, inst, i)
-        singular += closed == 0
+    multiplicative forms and the product-built roots, over prime, 2^m
+    and odd p^m fields up to GF(2^16) with r up to 12, and over the tiny
+    fields with alpha of order exactly r."""
+    singular = sum(
+        check_against_the_oracles(inst) == 0
+        for inst in seeded_corpus(fields, 1313, (13, 16, 17, 81, 256, 65536), 32, 12)
+    )
     assert 0 < singular < 6 * 32
+    tiny = [check_against_the_oracles(inst) == 0 for inst in tiny_field_instances(fields)]
+    assert 0 < sum(tiny) < len(tiny)
+
+
+def replay_with_the_oracles(inst, rel):
+    """sum_i u_i * M_i = 0 by the schoolbook product and the
+    product-built block polynomials, with deg u_i < mu_i and not all u_i zero."""
+    ctx = inst.ctx
+    assert len(rel.polys) == inst.ell + 1 and any(rel.polys)
+    total = [0] * inst.r
+    for i, u_i in enumerate(rel.polys):
+        assert len(u_i) <= inst.mu[i]
+        for j, c in enumerate(oracle_poly_mul(ctx, u_i, oracle_root_run_poly(inst, i))):
+            total[j] = ctx.add(total[j], c)
+    assert total == [0] * inst.r, (ctx, inst, rel)
 
 
 def test_kernel_relation_exists_iff_the_determinant_vanishes(fields):
-    """The forward-only null space: no relation exactly when det != 0."""
+    """The forward-only null space: no relation exactly when det != 0, and
+    each relation replays through the oracles."""
     singular = 0
     for inst in seeded_corpus(fields, 500, (13, 16, 17, 81), 125, 10):
         det = det_stacked(inst)
-        assert (find_kernel_relation(inst) is None) == (det != 0), (inst.ctx, inst)
+        rel = find_kernel_relation(inst)
+        assert (rel is None) == (det != 0), (inst.ctx, inst)
+        if rel is not None:
+            replay_with_the_oracles(inst, rel)
         singular += det == 0
     assert 0 < singular < 500
