@@ -119,8 +119,11 @@ def _verdict_json(v) -> dict:
     }
 
 
-def _csv_ints(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x != ""]
+def _csv_ints(text: str, flag: str) -> list[int]:
+    items = text.split(",")
+    if not all(x.strip() for x in items):
+        raise ValueError(f"{flag} has an empty entry: {text!r}")
+    return [int(x) for x in items]
 
 
 def _given(value, default):
@@ -140,7 +143,7 @@ def _construct_ex2(ctx, args):
 
 
 def _construct_appxa(ctx, args):
-    stars = _csv_ints(args.stars) if args.stars else [0] * 6
+    stars = [0] * 6 if args.stars is None else _csv_ints(args.stars, "--stars")
     return appendix_a_code(ctx, stars), {"q": args.q, "stars": stars}
 
 
@@ -188,7 +191,7 @@ def cmd_decode(args) -> int:
     handle = _load_code(args)
     if args.ell is not None and args.ell < 1:
         raise ValueError("the list size bound must be at least 1")
-    y = _csv_ints(args.y)
+    y = _csv_ints(args.y, "--y")
     res = decode(handle, y, args.tau, phased=args.phased, cap=args.cap)
     cfg = {
         "code": handle.name or args.code,
@@ -241,8 +244,8 @@ def cmd_bounds(args) -> int:
 
 def cmd_resultant(args) -> int:
     ctx = field_from_order(args.q)
-    mu = _csv_ints(args.mu)
-    beta = _csv_ints(args.beta)
+    mu = _csv_ints(args.mu, "--mu")
+    beta = _csv_ints(args.beta, "--beta")
     inst = ResultantInstance(ctx, args.alpha, tuple(mu), tuple(beta))
     cfg = {"q": args.q, "alpha": args.alpha, "mu": mu, "beta": beta, "mode": args.mode}
     body: dict = {"r": inst.r, "taus": list(inst.taus)}

@@ -192,15 +192,6 @@ def mat_vec(a: Mat, v) -> list[Fe]:
     return out
 
 
-def vstack(mats: list[Mat]) -> Mat:
-    if not mats:
-        raise ValueError("nothing to stack")
-    ctx, cols = mats[0].ctx, mats[0].cols
-    if any(m.cols != cols or m.ctx != ctx for m in mats):
-        raise ValueError("stacked matrices must agree on field and width")
-    return _wrap(ctx, [list(r) for m in mats for r in m._rows], cols)
-
-
 def _echelon(ctx: FieldCtx, rows: list[list[Fe]], cols: int) -> tuple[list[int], Fe]:
     """Forward elimination of rows in place: each column pivots on its
     first nonzero entry at or below the next pivot row, and the rows below

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, pairwise, permutations
 from random import Random
 
 from .gf import Fe, FieldCtx
@@ -152,15 +152,17 @@ def coeff_band(inst: ResultantInstance, i: int) -> Mat:
     return _wrap(inst.ctx, _band_rows(list(root_run_poly(inst, i)), inst.mu[i]), inst.r)
 
 
-def stacked_matrix(inst: ResultantInstance) -> Mat:
-    """The r x r stack of all block band matrices, every band read off
-    one gap table."""
+def _blocks(inst: ResultantInstance) -> list[list[Fe]]:
+    """Every block's coefficients, all read off one gap table of r entries."""
     ctx, alpha, r = inst.ctx, inst.alpha, inst.r
     d = _log_gaps(ctx, alpha, r)
-    rows = []
-    for b, m in zip(inst.beta, inst.mu):
-        rows += _band_rows(_run_coeffs(ctx, d, alpha, b, r - m), m)
-    return _wrap(ctx, rows, r)
+    return [_run_coeffs(ctx, d, alpha, b, r - m) for b, m in zip(inst.beta, inst.mu)]
+
+
+def stacked_matrix(inst: ResultantInstance) -> Mat:
+    """The r x r stack of all block band matrices."""
+    rows = [row for coeffs, m in zip(_blocks(inst), inst.mu) for row in _band_rows(coeffs, m)]
+    return _wrap(inst.ctx, rows, inst.r)
 
 
 def det_stacked(inst: ResultantInstance) -> Fe:
@@ -230,31 +232,19 @@ def det_product_form(inst: ResultantInstance) -> Fe:
     return ctx.mul(leading_constant(ctx, alpha, mu), pw(gen, total))
 
 
-def _t_scan_order(mu_i: int, mu_k: int):
-    # 0, 1, -1, 2, -2, ... clipped to the open range (-mu_i, mu_k)
-    for a in range(max(mu_i, mu_k)):
-        if a < mu_k:
-            yield a
-        if 0 < a < mu_i:
-            yield -a
-
-
 def find_ratio_collision(inst: ResultantInstance) -> tuple[int, int, int] | None:
-    """A triple (i, k, t) with beta_k / beta_i = alpha^t and
-    -mu_i < t < mu_k, or None. Deterministic scan: smallest (i, k, |t|)
-    with the nonnegative t tried first on ties. Compares discrete logs:
-    t * log(alpha) = log(beta_k) - log(beta_i) mod q - 1."""
+    """A triple (i, k, t) with beta_k / beta_i = alpha^t, -mu_i < t < mu_k,
+    for the first ordered pair (i, k) that has one, or None. A pair has at
+    most one t: two would differ by less than mu_i + mu_k <= r <= order(alpha).
+    Compares discrete logs: t log(alpha) = log(beta_k) - log(beta_i) mod q - 1."""
     n1 = inst.ctx.q - 1
     la = inst.ctx.log(inst.alpha)
     logs = [inst.ctx.log(b) for b in inst.beta]
-    for i in range(inst.ell + 1):
-        for k in range(inst.ell + 1):
-            if k == i:
-                continue
-            ratio = (logs[k] - logs[i]) % n1
-            for t in _t_scan_order(inst.mu[i], inst.mu[k]):
-                if t * la % n1 == ratio:
-                    return (i, k, t)
+    for i, k in permutations(range(inst.ell + 1), 2):
+        ratio = (logs[k] - logs[i]) % n1
+        for t in range(1 - inst.mu[i], inst.mu[k]):
+            if t * la % n1 == ratio:
+                return (i, k, t)
     return None
 
 
@@ -267,12 +257,7 @@ def find_kernel_relation(inst: ResultantInstance) -> RelationWitness | None:
     if not basis:
         return None
     u = basis[0]
-    polys = []
-    off = 0
-    for m_i in inst.mu:
-        polys.append(poly_trim(u[off : off + m_i]))
-        off += m_i
-    witness = RelationWitness(tuple(polys))
+    witness = RelationWitness(tuple(poly_trim(u[e - m : e]) for m, e in zip(inst.mu, inst.prefix_sums)))
     if not verify_relation(inst, witness):
         raise AssertionError("left-kernel vector is not a nonzero relation")
     return witness
@@ -280,25 +265,29 @@ def find_kernel_relation(inst: ResultantInstance) -> RelationWitness | None:
 
 def verify_relation(inst: ResultantInstance, witness: RelationWitness) -> bool:
     """Independent replay: degree constraints, not all zero, and
-    sum_i u_i * M_i = 0."""
+    sum_i u_i * M_i = 0 by polynomial products, not the stacked matrix."""
     ctx = inst.ctx
     if len(witness.polys) != inst.ell + 1:
         return False
     if all(p == () for p in witness.polys):
         return False
     total: Poly = ()
-    for i, u_i in enumerate(witness.polys):
-        if len(u_i) > inst.mu[i]:
+    for u_i, m_i, coeffs in zip(witness.polys, inst.mu, _blocks(inst)):
+        if len(u_i) > m_i:
             return False
-        total = poly_add(ctx, total, poly_mul(ctx, u_i, root_run_poly(inst, i)))
+        total = poly_add(ctx, total, poly_mul(ctx, u_i, coeffs))
     return total == ()
 
 
 # -- instance sampling (seeded, for certification corpora) -------------
 
 def order_at_least(ctx: FieldCtx, r: int) -> list[Fe]:
-    """All elements of multiplicative order >= r, ascending."""
-    return [x for x in ctx.nonzero_elements() if ctx.order(x) >= r]
+    """All elements of multiplicative order >= r, ascending: all nonzero ones
+    but the subgroups {g^((q-1)/d * j) : j < d} of the orders d < r, d | q - 1."""
+    n1 = ctx.q - 1
+    low = {ctx.pow(ctx.generator, e) for d in range(1, min(r, ctx.q)) if n1 % d == 0
+           for e in range(0, n1, n1 // d)}
+    return [x for x in ctx.nonzero_elements() if x not in low]
 
 
 def sample_instance(ctx: FieldCtx, rng: Random, ell: int, r: int) -> ResultantInstance:
@@ -309,9 +298,8 @@ def sample_instance(ctx: FieldCtx, rng: Random, ell: int, r: int) -> ResultantIn
     if not candidates:
         raise ValueError(f"no element of order >= {r} in {ctx!r}")
     alpha = rng.choice(candidates)
-    cuts = sorted(rng.sample(range(1, r), ell)) if ell else []
-    bounds_ = [0, *cuts, r]
-    mu = tuple(bounds_[i + 1] - bounds_[i] for i in range(ell + 1))
+    cuts = [0, *sorted(rng.sample(range(1, r), ell)), r]
+    mu = tuple(b - a for a, b in pairwise(cuts))
     beta = tuple(rng.randrange(1, ctx.q) for _ in range(ell + 1))
     return ResultantInstance(ctx, alpha, mu, beta)
 
@@ -327,13 +315,8 @@ def boundary_instance(
     k = rng.randrange(ell + 1)
     while k == i:
         k = rng.randrange(ell + 1)
-    if t_offset == "-mu_i":
-        t = -inst.mu[i]
-    elif t_offset == "mu_k-1":
-        t = inst.mu[k] - 1
-    elif t_offset == "mu_k":
-        t = inst.mu[k]
-    else:
+    t = {"-mu_i": -inst.mu[i], "mu_k-1": inst.mu[k] - 1, "mu_k": inst.mu[k]}.get(t_offset)
+    if t is None:
         raise ValueError(f"unknown boundary kind {t_offset!r}")
     beta = list(inst.beta)
     beta[k] = ctx.mul(beta[i], ctx.pow(inst.alpha, t))

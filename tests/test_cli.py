@@ -408,6 +408,13 @@ BOUNDS = ["bounds", "--q", "3", "--n", "4", "--tau", "2", "--size", "4"]
         (["reproduce", "rs_grid", "--q", "7", "--n", "2"], "reproduce rs_grid has no checks to run for these flags"),
         (["reproduce", "resultant_grid", "--count", "-5"], "--count must be at least 1, got -5"),
         (["reproduce", "appendix_a", "--q", "5", "--samples", "0"], "--samples must be at least 1, got 0"),
+        # an empty list entry is refused, not dropped
+        (["decode", *RS7, "--y", "1,2,,3,4,5,6", "--tau", "2"], "--y has an empty entry: '1,2,,3,4,5,6'"),
+        (["decode", *RS7, "--y", "1,2,3,4,5,6,", "--tau", "2"], "--y has an empty entry: '1,2,3,4,5,6,'"),
+        (["resultant", "--q", "13", "--alpha", "2", "--mu", "1,,1", "--beta", "1,3"], "--mu has an empty entry: '1,,1'"),
+        (["resultant", "--q", "13", "--alpha", "2", "--mu", "1,1", "--beta", "1,,1"], "--beta has an empty entry: '1,,1'"),
+        (["construct", "--kind", "appxa", "--q", "3", "--stars", "1,,2,0,1,1,0"], "--stars has an empty entry: '1,,2,0,1,1,0'"),
+        (["construct", "--kind", "appxa", "--q", "3", "--stars", ""], "--stars has an empty entry: ''"),
     ],
     ids=[
         "cap-negative", "cap-text", "alpha-99", "alpha-minus-2", "beta-minus-3", "delta-5",
@@ -416,12 +423,20 @@ BOUNDS = ["bounds", "--q", "3", "--n", "4", "--tau", "2", "--size", "4"]
         "rs-no-n-r", "decode-ell-0", "decode-ell-minus-1",
         "reproduce-example1-q0", "reproduce-rs_grid-q0", "reproduce-rs_grid-n0", "reproduce-rs_grid-n2",
         "reproduce-count-minus-5", "reproduce-samples-0",
+        "y-empty-entry", "y-trailing-comma", "mu-empty-entry", "beta-empty-entry", "stars-empty-entry",
+        "stars-empty",
     ],
 )
 def test_out_of_range_flags_are_usage_errors(capsys, argv, message):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_stars_left_out_mean_six_zeros(capsys):
+    argv = ["construct", "--kind", "appxa", "--q", "3"]
+    code, left_out = run_cli(capsys, *argv)
+    assert code == 0 and (0, left_out) == run_cli(capsys, *argv, "--stars", "0,0,0,0,0,0")
 
 
 @pytest.mark.parametrize("raw", ["-5", "abc"])

@@ -1,5 +1,5 @@
 import random
-from itertools import accumulate, repeat
+from itertools import accumulate, permutations, repeat
 
 import pytest
 
@@ -23,6 +23,7 @@ from burstkit import (
     vandermonde,
     verify_relation,
 )
+from burstkit.resultant import order_at_least
 
 
 def classical_resultant(inst):
@@ -189,9 +190,11 @@ def power_scan(inst):
     return None
 
 
-def test_ratio_collision_matches_the_power_scan():
+def test_ratio_collision_matches_the_power_scan(fields):
     """The discrete-log comparison returns the power scan's triple on
-    random and boundary instances over prime and extension fields."""
+    random and boundary instances over prime and extension fields, and on
+    the tiny-field instances with alpha of order exactly r, where a
+    kernel relation exists iff a ratio collides and replays as one."""
     rng = random.Random(101)
     seen = set()
     for p, m in ((13, 1), (2, 4), (3, 3), (17, 1), (3, 4)):
@@ -205,6 +208,65 @@ def test_ratio_collision_matches_the_power_scan():
                 assert found == power_scan(inst)
                 seen.add(found is None)
     assert seen == {True, False}
+    tiny = 0
+    for inst in tiny_field_instances(fields):
+        found = find_ratio_collision(inst)
+        assert found == power_scan(inst), (inst.ctx, inst)
+        rel = find_kernel_relation(inst)
+        assert (rel is None) == (found is None), (inst.ctx, inst)
+        if rel is not None:
+            assert verify_relation(inst, rel)
+            replay_with_the_oracles(inst, rel)
+        tiny += 1
+    assert tiny == 552
+
+
+@pytest.mark.parametrize(
+    "kind,pinned_t",
+    [
+        ("-mu_i", lambda mu, i, k: -mu[i]),
+        ("mu_k-1", lambda mu, i, k: mu[k] - 1),
+        ("mu_k", lambda mu, i, k: mu[k]),
+        ("mu_i", None),
+    ],
+    ids=["-mu_i", "mu_k-1", "mu_k", "unknown-mu_i"],
+)
+def test_boundary_instance_pins_one_ratio(fields, kind, pinned_t):
+    """Some ordered pair (i, k) has beta_k / beta_i = alpha^t with the
+    kind's t. An unknown kind raises ValueError after the same rng draws
+    as a known one."""
+    rng = random.Random(17)
+    for q in (13, 16, 17):
+        ctx = fields[q]
+        for _ in range(40):
+            ell = rng.randint(1, 3)
+            r = rng.randint(ell + 1, 9)
+            if pinned_t is None:
+                state = rng.getstate()
+                with pytest.raises(ValueError, match="unknown boundary kind 'mu_i'"):
+                    boundary_instance(ctx, rng, ell, r, kind)
+                after = rng.getstate()
+                rng.setstate(state)
+                boundary_instance(ctx, rng, ell, r, "mu_k")
+                assert rng.getstate() == after
+                continue
+            inst = boundary_instance(ctx, rng, ell, r, kind)
+            assert any(
+                ctx.div(inst.beta[k], inst.beta[i]) == ctx.pow(inst.alpha, pinned_t(inst.mu, i, k))
+                for i, k in permutations(range(ell + 1), 2)
+            ), (ctx, inst)
+
+
+def test_order_at_least_matches_the_order_walk(fields):
+    """The subgroup form lists what walking every element's order lists:
+    every r up to q + 5 for q <= 17, and r around the divisors of 65535
+    over GF(2^16)."""
+    cases = [(fields[q], range(q + 6)) for q in (2, 3, 4, 5, 7, 8, 9, 13, 16, 17)]
+    cases.append((fields[65536], (1, 2, 3, 4, 10, 16, 18, 256, 258, 4370, 21845, 21846, 65535, 65536, 65541)))
+    for ctx, rs in cases:
+        orders = [(x, ctx.order(x)) for x in ctx.nonzero_elements()]
+        for r in rs:
+            assert order_at_least(ctx, r) == [x for x, o in orders if o >= r], (ctx, r)
 
 
 def test_kernel_relation_examples():
