@@ -30,22 +30,34 @@ bucket scan in listdec): an element's m base-p digits sit in one int at
 w bits each, and two elements add lane-wise mod p with one XOR (p = 2)
 or one carry-trick add (odd p). Multiplication by x is a shift plus one
 add of the reduced top lane, and a general product is Horner's rule over
-that step; the primitivity test powers candidates with it. Multiplying
-by the generator is GF(p)-linear, so the exp table steps through the
-lanes c = max(1, 8 // w) at a time: per element, one lookup per chunk
-in a table of generator * (the chunk's lanes) and one lane add per
-chunk after the first. For odd p^m each entry also carries the chunk's
-share of the canonical index, so the same adds convert the lanes; for
-p = 2 the lanes are the index. The cost is about (m / c) * q lookups
-and adds, plus one table per chunk of at most p * 2^(w*(c-1)) entries.
-A prime field has one lane, and its step is one integer product mod p.
+that step; the primitivity test powers candidates with it.
+
+The exp table is a doubling walk, exp[i + L] = gen^L * exp[i]: each
+round doubles the table by multiplying all of it by g = gen^L, and the
+next round's g is g^2. Multiplying by g is GF(p)-linear, so a round
+splits the lanes into chunks of c and makes one table per chunk of
+g * (the chunk's lanes), and then one list comprehension per chunk
+(the first two share one) adds an entry from each table per element.
+A chunk table reads each digit mod p: its p^c entries are gathered into
+2^(w*c) slots, one per value the chunk's lanes can hold. So the chunk
+sums add as plain integers (XOR for p = 2) and are never reduced, for
+odd p in lanes wide enough for one digit from each chunk; a final pass
+of the same kind maps those lanes to canonical indices. For p = 2 the
+lanes are the index. c is chosen so that there are at least two chunks
+and the fewest whose tables hold at most q / log2(q) entries: about
+q * m / c lookups and adds in all (twice that for odd p), and log2(q)
+tables per chunk. A prime field has one lane, and a round is one integer
+product mod p per element. log is one scatter of exp, and the check that
+the generator has full order counts the slots of log that the scatter
+left at 0.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from itertools import accumulate, repeat
+from collections import deque
+from itertools import accumulate, cycle, islice, repeat
 
 Fe = int  # canonical element index in [0, q)
 
@@ -97,8 +109,18 @@ def _pmod(a: list[int], mod: list[int], p: int) -> list[int]:
 
 
 def _is_irreducible(poly: list[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree 1..deg/2."""
+    """Trial division by every monic polynomial of degree 1..deg/2; for
+    p = 2 on polynomials packed into ints, one XOR per quotient term."""
     m = len(poly) - 1
+    if p == 2:
+        f = sum(c << k for k, c in enumerate(poly))
+        for div in range(2, 2 << m // 2):
+            r, n = f, div.bit_length()
+            while (s := r.bit_length() - n) >= 0:
+                r ^= div << s
+            if not r:
+                return False
+        return True
     for d in range(1, m // 2 + 1):
         for v in range(p ** d):
             div = _digits(v, p, d) + [1]
@@ -123,16 +145,16 @@ def _width(p: int) -> int:
     return 1 if p == 2 else (p - 1).bit_length() + 1
 
 
-def _packing(p: int, lanes: int):
+def _packing(p: int, lanes: int, w: int = 0):
     """(w, add, key) for vectors whose base-p digit lanes are packed at
-    w = _width(p) bits per lane. For p = 2, add is XOR; otherwise adding
-    2^(w-1) - p to a lane sum (at most 2p - 2) sets its bit w-1, without
-    spilling into the next lane, iff the sum reached p. Bits above the
-    top lane add as plain integers (XOR for p = 2). add takes Python ints,
-    and int64 arrays when lanes <= 63 // w. key(s) is
+    w >= _width(p) bits per lane (by default _width(p)). For p = 2, add is
+    XOR; otherwise adding 2^(w-1) - p to a lane sum (at most 2p - 2) sets
+    its bit w-1, without spilling into the next lane, iff the sum reached
+    p. Bits above the top lane add as plain integers (XOR for p = 2). add
+    takes Python ints, and int64 arrays when lanes <= 63 // w. key(s) is
     sum(digit * p^lane), and packed order is key order: both compare the
     top lane first."""
-    w = _width(p)
+    w = w or _width(p)
     ones = sum(1 << (w * lane) for lane in range(lanes))
     carry = ones * ((1 << (w - 1)) - p)
 
@@ -146,34 +168,46 @@ def _packing(p: int, lanes: int):
     return w, operator.xor if p == 2 else add, key
 
 
-def _spread(x: int, p: int, lanes: int) -> int:
+def _spread(x: int, p: int, lanes: int, w: int = 0) -> int:
     """key's inverse: the base-p digits of x, one per packed lane."""
-    w = _width(p)
+    w = w or _width(p)
     return sum(x // p**k % p << (w * k) for k in range(lanes))
 
 
 def _outer_table(add, images: list[int], base: int, stride: int = 0) -> list[int]:
-    """The combinations sum(d_k * images[k]) under add, for digits d_k
-    in [0, base), as a list indexed by sum(d_k * stride^k) (stride
-    defaults to base; indices with a lower digit >= base are padding).
-    The multiples of each image take base - 1 adds, then each image
-    below the last widens the table by an outer sum."""
+    """The combinations sum((d_k mod base) * images[k]) under add, for
+    digits d_k in [0, stride), as a list indexed by sum(d_k * stride^k)
+    (stride defaults to base). The multiples of each image take base - 1
+    adds, then each image below the last widens the table by an outer sum."""
+
+    def column(image: int) -> list[int]:
+        return list(islice(cycle(accumulate(repeat(image, base - 1), add, initial=0)), stride or base))
+
     *low, top = images
-    pad = [0] * (max(stride, base) - base)
-    tab = list(accumulate(repeat(top, base - 1), add, initial=0))
+    tab = column(top)
     for image in reversed(low):
-        col = list(accumulate(repeat(image, base - 1), add, initial=0)) + pad
+        col = column(image)
         tab = [add(t, x) for t in tab for x in col]
     return tab
 
 
 def _exp_table(p: int, m: int, modulus: tuple[int, ...]) -> tuple[int, list[int]]:
     """(generator, exp) for GF(p^m) mod modulus, with exp[i] the canonical
-    index of generator^i, computed on packed lanes (see the module notes)."""
+    index of generator^i, by the doubling walk exp[i + L] = gen^L * exp[i]
+    (see the module notes)."""
     q, n1 = p**m, p**m - 1
-    w, add, _ = _packing(p, m)
+    # For m > 1, the fewest chunks of c lanes, at least two, whose tables
+    # hold at most q / log2(q) entries; for odd p a lane is wide enough to
+    # hold one reduced digit from each chunk.
+    c, w = 1, _width(p)
+    for chunks in range(2, m + 1):
+        c = -(-m // chunks)
+        w = 1 if p == 2 else (chunks * (p - 1)).bit_length()
+        if n1.bit_length() << w * c <= q:
+            break
+    w, add, _ = _packing(p, m, w)
     top, digit = w * m, (1 << w) - 1
-    red = sum(-c % p << (w * k) for k, c in enumerate(modulus[:m]))  # x^m
+    red = sum(-a % p << (w * j) for j, a in enumerate(modulus[:m]))  # x^m
 
     def times(a: int, d: int) -> int:  # d * a, by doubling
         r = a if d & 1 else 0
@@ -204,45 +238,48 @@ def _exp_table(p: int, m: int, modulus: tuple[int, ...]) -> tuple[int, list[int]
     gen = 1
     if n1 > 1:
         facs = _prime_factors(n1)
-        gen = next((g for g in range(2, q) if all(power(_spread(g, p, m), n1 // f) != 1 for f in facs)), 0)
+        gen = next((g for g in range(2, q) if all(power(_spread(g, p, m, w), n1 // f) != 1 for f in facs)), 0)
         if not gen:
             raise AssertionError("no primitive element found")
-    if m == 1:  # the step is one integer product mod p
-        return gen, list(accumulate(repeat(gen, n1 - 1), lambda a, g: a * g % p, initial=1))
+    if m == 1:  # a round is one integer product mod p per element
 
-    # Chunk j covers lanes c*j .. c*j + c - 1, and its table is indexed by
-    # those lanes as they sit in the element; lanes below the chunk's top
-    # are padded to 2^w digits, which no element holds. An entry is
-    # gen * (the chunk's lanes). For odd p it is tagged above bit h with
-    # the chunk's share of the canonical index, which a lane add adds as
-    # an integer, so step i yields gen^i as lanes and the index of
-    # gen^(i-1) as its tag; for p = 2 the lanes are the canonical index.
-    tagged = p > 2
-    c = max(1, 8 // w)
-    chunks = [range(j, min(j + c, m)) for j in range(0, m, c)]
-    h, mask = w * c * len(chunks), (1 << w * c) - 1
-    gx = [_spread(gen, p, m)]  # gen * x^k
-    for _ in range(m - 1):
-        gx.append(mulx(gx[-1]))
+        def times_g(g: int, xs: list[int], k: int) -> list[int]:
+            return [x * g % p for x in islice(xs, k)]
 
-    tabs = [
-        (_outer_table(add, [gx[k] | (p**k << h if tagged else 0) for k in chunk], p, digit + 1), w * chunk[0])
-        for chunk in chunks
-    ]
-    (first, _), rest = tabs[0], tabs[1:]
+    else:
+        # A chunk table is indexed by c lanes as they sit in the element
+        # and reads each digit mod p: the p^c combinations of the chunk's
+        # images, gathered through mod_p. So the chunk sums of a round add
+        # as plain integers (XOR for p = 2), and lanes are never reduced.
+        plus = operator.xor if p == 2 else operator.add
+        starts, mask = range(0, m, c), (1 << w * c) - 1
+        mod_p = _outer_table(operator.add, [p**j for j in range(c)], p, 1 << w)
 
-    def step(a: int) -> int:
-        b = first[a & mask]
-        for tab, s in rest:
-            b = add(b, tab[a >> s & mask])
-        return b
+        def chunk_map(add, images: list[int], xs: list[int], k: int) -> list[int]:
+            """The first k of xs under the GF(p)-linear map lane j -> images[j],
+            with add the images' add."""
+            images = images + [0] * (c - 1)  # pads the top chunk
+            t0, t1, *rest = [list(map(_outer_table(add, images[j : j + c], p).__getitem__, mod_p)) for j in starts]
+            out = [plus(t0[x & mask], t1[x >> w * c & mask]) for x in islice(xs, k)]
+            for tab, j in zip(rest, starts[2:]):
+                out = [plus(y, tab[x >> w * j & mask]) for y, x in zip(out, xs)]
+            return out
 
-    a = 1
-    steps = [a := step(a) for _ in range(n1)]
-    if tagged:
-        return gen, [b >> h for b in steps]
-    steps.insert(0, steps.pop())  # gen^(q-1) = 1 is exp[0]
-    return gen, steps
+        def times_g(g: int, xs: list[int], k: int) -> list[int]:
+            gx = [g]  # g * x^j
+            for _ in range(m - 1):
+                gx.append(mulx(gx[-1]))
+            return chunk_map(add, gx, xs, k)
+
+    # exp is allocated once; exp[:n] holds gen^0 .. gen^(n-1), and g = gen^n
+    exp, n, g = [1] * n1, 1, _spread(gen, p, m, w)
+    while n < n1:
+        k = min(n, n1 - n)
+        exp[n : n + k] = times_g(g, exp, k)
+        n, g = n + k, mul(g, g)
+    if p > 2 and m > 1:  # lanes to canonical indices: lane j counts p^j
+        exp[:] = chunk_map(operator.add, [p**j for j in range(m)], exp, n1)
+    return gen, exp
 
 
 def _family(p: int, m: int, exp: list[int], log: list[int]):
@@ -334,9 +371,10 @@ class FieldCtx:
 
         self.generator, exp = _exp_table(p, m, modulus)
         log = [0] * q
-        for i, v in enumerate(exp):
-            log[v] = i
-        if len(set(exp)) != q - 1:
+        deque(map(operator.setitem, repeat(log), exp, range(q - 1)), maxlen=0)
+        # exp holds q - 1 elements of [1, q) and starts at 1: log[0] and
+        # log[1] are 0, and any other slot left at 0 means a value repeats
+        if exp[0] != 1 or log.count(0) != 2:
             raise AssertionError("generator does not have full order")
         self._exp = exp
         self._log = log
@@ -348,6 +386,11 @@ class FieldCtx:
         add, neg = self.add, self.neg  # CPython does not specialize self.add(...) on a slot
         return add(a, neg(b))
 
+    # inv and div index exp with a log difference as it is, in [-(q-2), q-2]:
+    # a negative index wraps, since exp has q - 1 entries. mul keeps its
+    # modulo: on CPython 3.11 a negative list index leaves the specialized
+    # subscript, and log[a] + log[b] - (q - 1) timed slower than the modulo.
+
     def mul(self, a: Fe, b: Fe) -> Fe:
         if a == 0 or b == 0:
             return 0
@@ -356,10 +399,15 @@ class FieldCtx:
     def inv(self, a: Fe) -> Fe:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
-        return self._exp[-self._log[a] % (self.q - 1)]
+        return self._exp[-self._log[a]]
 
     def div(self, a: Fe, b: Fe) -> Fe:
-        return self.mul(a, self.inv(b))
+        if b == 0:
+            raise ZeroDivisionError("zero has no multiplicative inverse")
+        if a == 0:
+            return 0
+        log = self._log
+        return self._exp[log[a] - log[b]]
 
     def pow(self, a: Fe, e: int) -> Fe:
         if a == 0:

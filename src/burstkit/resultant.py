@@ -281,23 +281,35 @@ def verify_relation(inst: ResultantInstance, witness: RelationWitness) -> bool:
 
 # -- instance sampling (seeded, for certification corpora) -------------
 
+def _low_orders(ctx: FieldCtx, r: int) -> list[Fe]:
+    """The elements of multiplicative order < r, ascending: the subgroups
+    {g^((q-1)/d * j) : j < d} of the orders d < r, d | q - 1."""
+    n1 = ctx.q - 1
+    return sorted({ctx.pow(ctx.generator, e) for d in range(1, min(r, ctx.q)) if n1 % d == 0
+                   for e in range(0, n1, n1 // d)})
+
+
 def order_at_least(ctx: FieldCtx, r: int) -> list[Fe]:
     """All elements of multiplicative order >= r, ascending: all nonzero ones
-    but the subgroups {g^((q-1)/d * j) : j < d} of the orders d < r, d | q - 1."""
-    n1 = ctx.q - 1
-    low = {ctx.pow(ctx.generator, e) for d in range(1, min(r, ctx.q)) if n1 % d == 0
-           for e in range(0, n1, n1 // d)}
+    but those of _low_orders."""
+    low = set(_low_orders(ctx, r))
     return [x for x in ctx.nonzero_elements() if x not in low]
 
 
 def sample_instance(ctx: FieldCtx, rng: Random, ell: int, r: int) -> ResultantInstance:
-    """A uniform instance with the given block count and total size."""
+    """A uniform instance with the given block count and total size. alpha
+    is drawn as rng.choice(order_at_least(ctx, r)) would draw it, without
+    building that list."""
     if r < ell + 1:
         raise ValueError("r must be at least ell + 1")
-    candidates = order_at_least(ctx, r)
-    if not candidates:
+    low = _low_orders(ctx, r)
+    if len(low) == ctx.q - 1:
         raise ValueError(f"no element of order >= {r} in {ctx!r}")
-    alpha = rng.choice(candidates)
+    alpha = rng.randrange(ctx.q - 1 - len(low)) + 1
+    for x in low:  # step alpha past each low-order element at or below it
+        if x > alpha:
+            break
+        alpha += 1
     cuts = [0, *sorted(rng.sample(range(1, r), ell)), r]
     mu = tuple(b - a for a, b in pairwise(cuts))
     beta = tuple(rng.randrange(1, ctx.q) for _ in range(ell + 1))

@@ -1,18 +1,24 @@
+import hashlib
 import itertools
 import math
+import os
 import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import burstkit
 from burstkit import (
     FieldCtx,
     field_from_dict,
     field_from_order,
     field_new,
 )
+from burstkit import gf
 from burstkit.gf import MAX_FIELD_SIZE, _prime_factors
 
 
@@ -252,6 +258,106 @@ def test_fields_at_the_cap(fields, p, m):
         assert f.sub(f.add(a, b), b) == a
         if a:
             assert f.mul(a, f.inv(a)) == 1
+
+
+# sha256 of repr(table) for the largest field of each family under the cap,
+# pinned from an independent per-element build of the same tables
+CAP_DIGESTS = {
+    1 << 20: {
+        "modulus": "8fb63258caffcc53b07eb8a97d3526eb75ab2e2a5e87f0dc600c1369282ee98a",
+        "generator": "d4735e3a265e16eee03f59718b9b5d03019c07d8b6c51f90da3a666eec13ab35",
+        "_exp": "3fcfdab059fa2c31012f747b837808bc01cf3d64bd76ba23927ef6bec9392e95",
+        "_log": "3b6a3b5746687edbc429bfeb77edc9c9545fde9b54f3b14cb66af27e170f7d0e",
+        "_zech": "dc937b59892604f5a86ac96936cd7ff09e25f18ae6b758e8014a24c7fa039e91",
+    },
+    3**12: {
+        "modulus": "c39a3bc701495b8ae126da80619b99a8132dd47227ed4d7292e4dce1544bf997",
+        "generator": "8527a891e224136950ff32ca212b45bc93f69fbb801c3b1ebedac52775f99e61",
+        "_exp": "9a637c210addd7a72400cf44eef1756388df155906ba13a3ff7305e05d00f9b4",
+        "_log": "08221f2fc2f2fcb3be46c3c7dcc3c55383b0828dbfcc8b041e782c7e54a3ac0c",
+        "_zech": "fc1f6c7528270679a7f072f7e3f9cd097cd52b54255720b485df71198baaf320",
+    },
+    1048573: {
+        "modulus": "a5cabe61309cbdb1d6a67e597b1659243a076817ce37626014228bde43e86d2d",
+        "generator": "d4735e3a265e16eee03f59718b9b5d03019c07d8b6c51f90da3a666eec13ab35",
+        "_exp": "17acfd3993f371e7013fa6906d641efc8ad70eaf210e7ed4d23cf59e4ee9e581",
+        "_log": "6727697fc906f31e0e1179a92efc173dc5616b5f429e8a882b57eec79e88aef5",
+        "_zech": "dc937b59892604f5a86ac96936cd7ff09e25f18ae6b758e8014a24c7fa039e91",
+    },
+}
+
+
+@pytest.mark.parametrize("q", sorted(CAP_DIGESTS))
+def test_tables_at_the_cap_match_their_pinned_digests(fields, q):
+    """GF(2^20), GF(3^12) and GF(1048573) build every table element by
+    element as pinned: the digit-list oracle is too slow at these sizes.
+    No other test uses GF(1048573), so it is built here and not kept for
+    the session, which would hold its 80 MiB of tables to the end."""
+    f = field_from_order(q) if q == 1048573 else fields[q]
+    got = {name: hashlib.sha256(repr(getattr(f, name)).encode()).hexdigest() for name in CAP_DIGESTS[q]}
+    assert got == CAP_DIGESTS[q]
+
+
+def test_cap_field_build_memory():
+    """A child process that builds GF(2^20) peaks under 120 MiB: exp and
+    log with their int objects take about 80 MiB, and the build adds no
+    table-sized set or second copy of either. The child reports the peak
+    of its own address space (VmHWM): its ru_maxrss would also count the
+    pages of this process, which it shares until it execs."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(burstkit.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = (
+        "from burstkit import field_new\n"
+        "ctx = field_new(2, 20)\n"
+        "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout.split()[-1]) < 120 * 1024  # VmHWM is in KiB
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 16, 81, 65536, 6561, 65521])
+def test_mul_div_inv_match_the_reduced_log_sum(fields, q):
+    """div and inv index exp with an unreduced log difference; with mul
+    they equal exp at the log sum or difference mod q - 1, and mul equals
+    the digit-list product: every pair up to q = 16, else a seeded sample
+    with 0, 1, the generator and g^(q-2), where the differences reach both
+    ends of [-(q-2), q-2]."""
+    ctx = fields[q]
+    n1, exp, log = q - 1, ctx._exp, ctx._log
+    prod = oracle_mul(ctx.p, ctx.modulus)
+    top = ctx.pow(ctx.generator, q - 2)
+    elements = range(q) if q <= 16 else [0, 1, ctx.generator, top, *random.Random(q).sample(range(2, q), 30)]
+    for a in elements:
+        for b in elements:
+            assert ctx.mul(a, b) == (exp[(log[a] + log[b]) % n1] if a and b else 0) == prod(a, b), (q, a, b)
+            if b:
+                assert ctx.div(a, b) == (exp[(log[a] - log[b]) % n1] if a else 0), (q, a, b)
+                assert ctx.mul(ctx.div(a, b), b) == a
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    ctx.div(a, b)
+        if a:
+            assert ctx.inv(a) == exp[-log[a] % n1] == ctx.div(1, a)
+
+
+def test_exp_tables_that_are_not_the_generator_powers_are_refused(monkeypatch):
+    """The full-order check rejects an exp table with a repeat (the powers
+    of an element of order 5 in GF(16), or one entry overwritten) and a
+    permutation that does not start at 1."""
+    real = gf._exp_table
+    order5 = [1, 8, 12, 10, 15] * 3  # the powers of 8 = x^3, of order 5 modulo x^4 + x + 1
+    for bad in (lambda e: order5, lambda e: e[:-1] + [e[1]], lambda e: e[1:] + e[:1]):
+
+        def corrupted(p, m, modulus, bad=bad):
+            gen, exp = real(p, m, modulus)
+            return gen, bad(exp)
+
+        monkeypatch.setattr(gf, "_exp_table", corrupted)
+        with pytest.raises(AssertionError, match="full order"):
+            FieldCtx(2, 4)
 
 
 def test_field_axioms_exhaustive_pairs():

@@ -269,6 +269,38 @@ def test_order_at_least_matches_the_order_walk(fields):
             assert order_at_least(ctx, r) == [x for x, o in orders if o >= r], (ctx, r)
 
 
+def oracle_sample_instance(ctx, rng, ell, r):
+    """The list-building draw, kept as the reference for sample_instance."""
+    alpha = rng.choice(order_at_least(ctx, r))
+    cuts = [0, *sorted(rng.sample(range(1, r), ell)), r]
+    mu = tuple(b - a for a, b in zip(cuts, cuts[1:]))
+    beta = tuple(rng.randrange(1, ctx.q) for _ in range(ell + 1))
+    return ResultantInstance(ctx, alpha, mu, beta)
+
+
+def test_sample_instance_draws_as_choice_over_order_at_least(fields):
+    """sample_instance returns the instance that rng.choice over the
+    order_at_least list gives, and leaves the stream where it leaves it:
+    every r from ell + 1 to q + 2 for q <= 17 (so some fields have no
+    candidate), and r around divisors of q - 1 over GF(81) and GF(2^16)."""
+    cases = [(fields[q], range(2, q + 3)) for q in (2, 3, 4, 5, 7, 8, 9, 13, 16, 17)]
+    cases += [(fields[81], (2, 3, 5, 6, 9, 11, 17, 40, 41, 80, 81)), (fields[65536], (2, 4, 6, 18, 256, 258))]
+    for ctx, rs in cases:
+        for r in rs:
+            for seed in range(3 if ctx.q > 81 else 12):
+                ell = 1 + seed % min(3, r - 1)
+                got, want = random.Random(seed), random.Random(seed)
+                try:
+                    expected = oracle_sample_instance(ctx, want, ell, r)
+                except IndexError:  # rng.choice on an empty list
+                    with pytest.raises(ValueError):
+                        sample_instance(ctx, got, ell, r)
+                    continue
+                inst = sample_instance(ctx, got, ell, r)
+                assert (inst.alpha, inst.mu, inst.beta) == (expected.alpha, expected.mu, expected.beta), (ctx, r, seed)
+                assert got.getstate() == want.getstate()
+
+
 def test_kernel_relation_examples():
     f5 = field_new(5, 1)
     nonsing = ResultantInstance(f5, 2, (1, 1), (1, 3))
