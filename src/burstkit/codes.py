@@ -55,9 +55,9 @@ class LinearCode:
 
     @cached_property
     def _window_tables(self) -> dict:
-        """listdec's per-window decoding tables, keyed by (tau, phased),
-        and its packed decode tables, keyed by (tau, phased, "packed");
-        filled on first use."""
+        """listdec's decoder, one per (tau, phased) and keyed by it: the
+        packed H and E_all tables and each window's solve data; filled on
+        first decode (detection builds none)."""
         return {}
 
     def syndrome(self, w) -> tuple[Fe, ...]:
@@ -104,8 +104,8 @@ class ExplicitCode:
 
     @cached_property
     def _window_tables(self) -> dict:
-        """listdec's per-window decoding tables, keyed by (tau, phased)
-        and filled on first use."""
+        """listdec's decoder windows, keyed by (tau, phased) and filled on
+        first use: the codewords grouped by what each window leaves."""
         return {}
 
     def contains(self, w) -> bool:

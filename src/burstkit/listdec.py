@@ -3,18 +3,18 @@ list-size certification.
 
 decode(y) returns exactly the codewords within a single tau-burst of y
 (the set-valued complete decoder; words near no codeword decode to the
-empty set). It reads tables built on first use for each (tau, phased)
+empty set). It reads one decoder per (tau, phased), built on first use
 and cached on the code object. For a linear code each window has an
 RREF transform E, and E*H*y gives the window's payloads with no
-elimination per word. Every window's E is stacked into E_all, and H and
-E_all are kept as packed-lane tables per column and chunk of an
-element: a decode adds one table entry per chunk of y to get H*y, one
-per chunk of each syndrome row to get E_all*H*y, then tests each
-window's annihilator lanes for zero and reads each pivot's lanes, with
-no field operation before the candidates are formed. For an explicit
-code the codewords are grouped by what is left once the window's
-positions are deleted, so y is looked up rather than compared with
-every codeword.
+elimination per word. Each window's E goes into the stack E_all as the
+window is reduced, and only H and E_all are kept, as packed-lane tables
+per column and chunk of an element: a decode adds one table entry per
+chunk of y to get H*y, one per chunk of each syndrome row to get
+E_all*H*y, then tests each window's annihilator lanes for zero and
+reads each pivot's lanes, with no field operation before the
+candidates are formed. For an explicit code the codewords are grouped
+by what is left once the window's positions are deleted, so y is
+looked up rather than compared with every codeword.
 Certification never scans received words. One scan keys every sum
 c + e of a codeword and a tau-burst by check*c + check*e and reads the
 largest bucket. A linear code's check is H, so every offset check*c is
@@ -35,9 +35,10 @@ worst word y, whose syndrome is the smallest key of the largest bucket
 (J puts position 0 in the top row, so for an explicit code y is the
 smallest word of the largest sum bucket).
 
-Detection is tested window by window, from the same tables: a nonzero
-tau-burst difference of two codewords lies inside some window of tau
-consecutive positions.
+Detection is tested window by window: a nonzero tau-burst difference of
+two codewords lies inside some window of tau consecutive positions. A
+linear code detects iff every window of tau columns of H has rank tau,
+which builds no decoder; an explicit code reads its decoder's windows.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import _caps
 from .burst import (
@@ -57,7 +58,7 @@ from .burst import (
 )
 from .codes import CodeHandle, ExplicitCode, LinearCode
 from .gf import Fe, _outer_table, _packing, _spread, _width
-from .matpoly import Mat, _null_basis_from_rref, _rref_rows, solve_affine, span_members
+from .matpoly import Mat, _null_basis_from_rref, _rref_rows, rank, solve_affine, span_members
 
 
 @dataclass
@@ -128,12 +129,12 @@ def decode(code, y, tau: int, phased: bool = False, cap: int | None = None) -> L
 def _decode_linear(code: LinearCode, y: Word, tau: int, space: BurstSpace, cap) -> ListDecodeResult:
     ctx = code.ctx
     limit = _caps.solutions_cap(cap)
-    radix, cols, rows, add_s, add, lane, index = _packed_tables(code, tau, space.phased)
+    radix, cols, rows, add_s, add, lane, index, windows = _linear_decoder(code, tau, space.phased)
     s, w = _apply(cols, radix, add_s, y), lane.bit_length()  # H*y as packed lanes
     z = _apply(rows, radix, add, [index(s >> w * k & lane) for k in range(code.r)])  # E_all*H*y
     found: dict[Word, BurstPattern] = {}
     stats: dict[int, int] = {}
-    for win, pivots, basis, _, offsets, mask in _window_table(code, tau, space.phased):
+    for win, pivots, basis, offsets, mask in windows:
         if z & mask:
             stats[win.start] = 0
             continue
@@ -156,7 +157,7 @@ def _decode_explicit(code: ExplicitCode, y: Word, tau: int, space: BurstSpace, c
     _caps.check("explicit codeword scan", code.size, _caps.codewords_cap(cap))
     found: dict[Word, BurstPattern] = {}
     stats: dict[int, int] = {}
-    for win, by_rest in _window_table(code, tau, space.phased):
+    for win, by_rest in _explicit_windows(code, tau, space.phased):
         hits = by_rest.get(y[: win.start] + y[win.stop :], ())
         for c in hits:
             if c not in found:
@@ -165,80 +166,96 @@ def _decode_explicit(code: ExplicitCode, y: Word, tau: int, space: BurstSpace, c
     return ListDecodeResult(sorted(found.items()), stats)
 
 
-# -- window tables --------------------------------------------------------
+# -- decoder tables -------------------------------------------------------
 
-class _LinearWindow(NamedTuple):
-    """Window t of a linear code, from rref([H_W | I_r]) = [R | E].
+class _LinearDecoder(NamedTuple):
+    """A linear code's decoder for one (tau, phased), from one
+    rref([H_W | I_r]) = [R | E] per window W.
 
     E is invertible and E*H_W = R = rref(H_W), so with z = E*H*y the RREF
     of the system H_W*u = H*y is [R | z]: it is consistent iff z is zero
     past the rank (the annihilator rows of E, which span the left null
-    space of H_W), its particular solution holds z[i] at pivot i (the
-    solve rows, the first rank rows of E), and basis is the canonical
-    null basis of H_W. e holds E's rows. In the decoder's packed sum the
-    window's rows take m lanes each from bit t*r*m*w: offsets are the
-    solve rows', and mask covers the annihilator rows.
+    space of H_W), and its particular solution holds z[i] at pivot i
+    (the solve rows, the first rank rows of E). cols and rows are the
+    chunk tables of H and of E_all, every window's E stacked: a decode
+    adds one entry per chunk of y for H*y (r*m lanes, add_s), then one
+    per chunk of each syndrome row for E_all*H*y (add). Going through H*y
+    keeps the tables linear in n: n position tables of E_all*H, each
+    entry as wide as E_all, would grow as n^2 (103 MiB against 5 MiB for
+    an RS code over GF(256) with n = 255, r = 6, tau = 4). radix is at
+    most 256, or p for m > 1 and p > 256; lane masks one row's m lanes,
+    and index maps them to the element. windows holds (window, pivots,
+    canonical null basis of H_W, offsets, mask): window t's rows take m
+    lanes each from bit t*r*m*w of E_all*H*y, offsets are its solve
+    rows' and mask covers its annihilator rows.
     """
 
-    win: range
-    pivots: tuple[int, ...]
-    basis: list[list[Fe]]
-    e: list[list[Fe]]
-    offsets: tuple[int, ...]
-    mask: int
+    radix: int
+    cols: list
+    rows: list
+    add_s: Callable
+    add: Callable
+    lane: int
+    index: Callable
+    windows: list
 
 
-def _linear_window(code: LinearCode, win: range, t: int) -> _LinearWindow:
-    ctx, r, width = code.ctx, code.r, len(win)
-    rows = [[code.H.at(i, j) for j in win] + [int(i == k) for k in range(r)] for i in range(r)]
-    pivots = tuple(c for c in _rref_rows(ctx, rows, width + r) if c < width)
-    lane, rank = _width(ctx.p) * ctx.m, len(pivots)
-    solved = t * r * lane + rank * lane  # the first annihilator row's bit
-    e = [row[width:] for row in rows]
-    offsets = tuple(range(solved - rank * lane, solved, lane))
-    mask = (1 << lane * (r - rank)) - 1 << solved
-    return _LinearWindow(win, pivots, _null_basis_from_rref(ctx, rows, pivots, width), e, offsets, mask)
+def _linear_decoder(code: LinearCode, tau: int, phased: bool) -> _LinearDecoder:
+    """The decoder for (tau, phased), built on first use and cached on
+    the code under that key."""
+    dec = code._window_tables.get((tau, phased))
+    if dec is None:
+        ctx, r, p, m = code.ctx, code.r, code.ctx.p, code.ctx.m
+        lane = _width(p) * m
+        windows, e_all = [], []
+        for t, win in enumerate(BurstSpace(code.n, tau, phased).windows):
+            width = len(win)
+            aug = [[code.H.at(i, j) for j in win] + [int(i == k) for k in range(r)] for i in range(r)]
+            pivots = tuple(c for c in _rref_rows(ctx, aug, width + r) if c < width)
+            e_all.extend(row[width:] for row in aug)
+            first, solved = t * r * lane, (t * r + len(pivots)) * lane  # the first annihilator row's bit
+            offsets, mask = tuple(range(first, solved, lane)), (1 << first + r * lane) - (1 << solved)
+            windows.append((win, pivots, _null_basis_from_rref(ctx, aug, pivots, width), offsets, mask))
+        add_s, add = _packing(p, r * m)[1], _packing(p, len(e_all) * m)[1]
+        radix = p if m > 1 else min(p, 256)
+        while m > 1 and radix * p <= 256:
+            radix *= p
+        cols = _matrix_tables(ctx, code.H, add_s, radix)
+        rows = _matrix_tables(ctx, Mat.from_rows(ctx, e_all, cols=r), add, radix)
+        dec = _LinearDecoder(radix, cols, rows, add_s, add, (1 << lane) - 1, _index(ctx), windows)
+        code._window_tables[(tau, phased)] = dec
+    return dec
 
 
-def _window_table(code, tau: int, phased: bool) -> list:
-    """One entry per window of the (tau, phased) burst space, built on
-    first use and cached on the code: a _LinearWindow for a linear code;
-    for an explicit code (window, dict from each codeword with the
-    window's positions deleted to the codewords that share it)."""
+def _explicit_windows(code: ExplicitCode, tau: int, phased: bool) -> list[tuple[range, dict[Word, list[Word]]]]:
+    """Per window of the (tau, phased) burst space, a dict from each
+    codeword with the window's positions deleted to the codewords that
+    share it; built on first use and cached on the code under that key."""
     table = code._window_tables.get((tau, phased))
     if table is None:
-        windows = BurstSpace(code.n, tau, phased).windows
-        if isinstance(code, LinearCode):
-            table = [_linear_window(code, win, t) for t, win in enumerate(windows)]
-        else:
-            table = []
-            for win in windows:
-                by_rest: dict[Word, list[Word]] = {}
-                for c in code.codewords:
-                    by_rest.setdefault(c[: win.start] + c[win.stop :], []).append(c)
-                table.append((win, by_rest))
+        table = []
+        for win in BurstSpace(code.n, tau, phased).windows:
+            by_rest: dict[Word, list[Word]] = {}
+            for c in code.codewords:
+                by_rest.setdefault(c[: win.start] + c[win.stop :], []).append(c)
+            table.append((win, by_rest))
         code._window_tables[(tau, phased)] = table
     return table
 
 
-def _lanes(ctx):
-    """(spread, index): an element's base-p digits as packed lanes
-    (gf._spread) and back, by tables of g digits or g lanes at a time
-    (2^(w*g) <= 4096); both are int, the identity, unless p^m is odd
-    with m > 1."""
+def _index(ctx) -> Callable[[int], Fe]:
+    """An element's base-p digits as packed lanes (gf._spread) back to
+    the element, by tables of g lanes at a time (2^(w*g) <= 4096); int,
+    the identity, unless p^m is odd with m > 1."""
     p, m = ctx.p, ctx.m
     if p == 2 or m == 1:
-        return int, int
+        return int
     w = _width(p)
     g = max(1, 12 // w)
-    spread = _chunk_tables(ctx, operator.add, lambda u: _spread(u, p, m), p**g)
     index = [
         _outer_table(operator.add, [p**k for k in range(j, min(j + g, m))], p, 1 << w) for j in range(0, m, g)
     ]
-    return (
-        lambda x: _apply([spread], p**g, operator.add, [x]),
-        lambda v: _apply([index], 1 << w * g, operator.add, [v]),
-    )
+    return lambda v: _apply([index], 1 << w * g, operator.add, [v])
 
 
 def _chunk_tables(ctx, add, image, radix: int) -> list[list[int]]:
@@ -261,8 +278,11 @@ def _chunk_tables(ctx, add, image, radix: int) -> list[list[int]]:
 
 def _matrix_tables(ctx, h: Mat, add, radix: int) -> list[list[list[int]]]:
     """Per column j of h, the chunk tables of u -> h[:, j]*u as packed
-    lanes, entry i in lanes m*i .. m*i + m - 1."""
-    spread, shift = _lanes(ctx)[0], _width(ctx.p) * ctx.m
+    lanes, entry i in lanes m*i .. m*i + m - 1 (gf._spread, the identity
+    for p = 2 or m = 1)."""
+    p, m = ctx.p, ctx.m
+    spread = int if p == 2 or m == 1 else lambda x: _spread(x, p, m)
+    shift = _width(p) * m
 
     def column(j: int):
         return lambda u: sum(spread(ctx.mul(h.at(i, j), u)) << shift * i for i in range(h.rows))
@@ -280,32 +300,6 @@ def _apply(tabs, radix: int, add, word) -> int:
     return z
 
 
-def _packed_tables(code: LinearCode, tau: int, phased: bool):
-    """(radix, cols, rows, add_s, add, lane, index), built on first
-    decode and cached next to the window table. With E_all every
-    window's E stacked, cols and rows are the chunk tables of H and of
-    E_all, so a decode adds one entry per chunk of y for H*y (r*m lanes,
-    add_s) and one per chunk of each syndrome row for E_all*H*y (add).
-    radix is at most 256, or p for m > 1 and p > 256. lane masks one
-    row's m lanes, and index maps them to the element. Going through
-    H*y keeps the tables linear in n: n position tables of E_all*H, each
-    entry as wide as E_all, would grow as n^2 (103 MiB against 5 MiB for
-    an RS code over GF(256) with n = 255, r = 6, tau = 4)."""
-    key = (tau, phased, "packed")
-    if key not in code._window_tables:
-        ctx, p, m = code.ctx, code.ctx.p, code.ctx.m
-        e_all = [row for win in _window_table(code, tau, phased) for row in win.e]
-        w, add, _ = _packing(p, len(e_all) * m)
-        add_s = _packing(p, code.r * m)[1]
-        radix = p if m > 1 else min(p, 256)
-        while m > 1 and radix * p <= 256:
-            radix *= p
-        cols = _matrix_tables(ctx, code.H, add_s, radix)
-        rows = _matrix_tables(ctx, Mat.from_rows(ctx, e_all, cols=code.r), add, radix)
-        code._window_tables[key] = (radix, cols, rows, add_s, add, (1 << w * m) - 1, _lanes(ctx)[1])
-    return code._window_tables[key]
-
-
 # -- detection ----------------------------------------------------------
 
 def detects_single_burst(code, tau: int, cap: int | None = None) -> bool:
@@ -313,48 +307,51 @@ def detects_single_burst(code, tau: int, cap: int | None = None) -> bool:
 
     Such a difference is supported inside some window of tau consecutive
     positions, so this is a test window by window. For a linear code
-    every window of parity-check columns must be linearly independent (a
-    dependent window is exactly a nonzero tau-burst codeword); for an
-    explicit code the codewords must stay distinct once the window's
-    positions are deleted. Both read the decoder's window table.
+    every window of tau parity-check columns must have rank tau (a
+    dependent window is exactly a nonzero tau-burst codeword), which
+    builds no decoder table; for an explicit code the codewords must
+    stay distinct once the window's positions are deleted, read from
+    the decoder's windows.
     """
     code = _as_code(code)
-    if isinstance(code, LinearCode):
-        return all(len(w.pivots) == len(w.win) for w in _window_table(code, tau, False))
     windows = BurstSpace(code.n, tau).windows
+    if isinstance(code, LinearCode):
+        h = code.H.to_rows()
+        return all(
+            rank(Mat.from_rows(code.ctx, [row[w.start : w.stop] for row in h], cols=tau)) == tau for w in windows
+        )
     _caps.check("window deletion scan |C| * windows", code.size * len(windows), _caps.enum_cap(cap))
-    return all(len(by_rest) == code.size for _, by_rest in _window_table(code, tau, False))
+    return all(len(by_rest) == code.size for _, by_rest in _explicit_windows(code, tau, False))
 
 
 # -- certification -------------------------------------------------------
 
-def _check(code) -> Mat:
-    """The scan's check: H, or for an explicit code the exchange matrix J."""
-    if isinstance(code, LinearCode):
-        return code.H
-    return Mat.from_rows(code.ctx, [[int(i + j == code.n - 1) for j in range(code.n)] for i in range(code.n)])
-
-
 def _column_tables(code):
-    """(offsets, tabs): tabs[j][d] is the syndrome of digit d at position
-    j, as rows*m base-p digit lanes (lane m*i + k holds digit k of row i)
-    at gf._width(p) bits each (one chunk table of radix q); offsets holds
-    check*c, [0] for a linear code, else one per codeword (J gives each
-    position its own lanes, so a sum packs)."""
-    ctx, h = code.ctx, _check(code)
-    tabs = [chunks[0] for chunks in _matrix_tables(ctx, h, _packing(ctx.p, h.rows * ctx.m)[1], ctx.q)]
-    if isinstance(code, LinearCode):
-        return [0], tabs
-    return [sum(tab[x] for tab, x in zip(tabs, c)) for c in code.codewords], tabs
+    """(offsets, tabs, lanes, add, key), built once per scan: tabs[j][d]
+    is the syndrome of digit d at position j under the scan's check, in
+    lanes = rows*m base-p digit lanes (lane m*i + k holds digit k of row
+    i) of gf._width(p) bits, which add and key (gf._packing) read. A
+    linear code's check is H and offsets is [0]; an explicit code's is J,
+    which moves position j to row n-1-j, so tabs[j] shifts the digit's
+    lanes there, a sum packs, and offsets holds J*c for each codeword."""
+    ctx, n = code.ctx, code.n
+    linear = isinstance(code, LinearCode)
+    lanes = (code.r if linear else n) * ctx.m
+    _, add, key = _packing(ctx.p, lanes)
+    if linear:
+        return [0], [chunks[0] for chunks in _matrix_tables(ctx, code.H, add, ctx.q)], lanes, add, key
+    digits = [_spread(d, ctx.p, ctx.m) for d in range(ctx.q)]
+    tabs = [[x << _width(ctx.p) * ctx.m * (n - 1 - j) for x in digits] for j in range(n)]
+    return [sum(tab[x] for tab, x in zip(tabs, c)) for c in code.codewords], tabs, lanes, add, key
 
 
-def _pure_syndromes(code, spans):
+def _pure_syndromes(tables, spans):
     """The packed key of every (codeword, burst) pair in enumeration
-    order: the offsets for the zero burst, then per anchored span the
-    outer sum of its column tables and the offsets, from the last column
-    back; the first column takes nonzero digits only."""
-    add = _packing(code.ctx.p, _check(code).rows * code.ctx.m)[1]
-    offsets, tabs = _column_tables(code)
+    order, from _column_tables' tables: the offsets for the zero burst,
+    then per anchored span the outer sum of its column tables and the
+    offsets, from the last column back; the first column takes nonzero
+    digits only."""
+    offsets, tabs, _, add, _ = tables
     yield offsets
     for start, width in spans:
         acc = offsets
@@ -363,16 +360,16 @@ def _pure_syndromes(code, spans):
         yield [add(t, a) for t in tabs[start][1:] for a in acc]
 
 
-def _scan_pure(code, spans):
+def _scan_pure(tables, spans):
     """The pure-Python scan: (pairs, buckets, max bucket, its smallest
-    key). It counts packed syndromes and converts only the winner."""
+    key). It counts packed syndromes and converts only the winner, with
+    _column_tables' key."""
     buckets: Counter[int] = Counter()
-    for syndromes in _pure_syndromes(code, spans):
+    for syndromes in _pure_syndromes(tables, spans):
         buckets.update(syndromes)
     max_count = max(buckets.values())
     best = min(s for s, v in buckets.items() if v == max_count)
-    key = _packing(code.ctx.p, _check(code).rows * code.ctx.m)[2]
-    return sum(buckets.values()), len(buckets), max_count, key(best)
+    return sum(buckets.values()), len(buckets), max_count, tables[-1](best)
 
 
 def _runs(np, keys, block=1 << 16):
@@ -397,7 +394,7 @@ def _runs(np, keys, block=1 << 16):
     return distinct, best, best_key
 
 
-def _scan_numpy(code, spans):
+def _scan_numpy(ctx, tables, spans):
     """The same result as _scan_pure from _pure_syndromes' recursion on
     int64 arrays; None when numpy is missing or a key would not fit in
     int64 (q^rows >= 2^63).
@@ -409,14 +406,14 @@ def _scan_numpy(code, spans):
     the w * lanes bits fit in 32, else as int64, then sorted in place
     and counted by _runs a block at a time.
     """
-    p, lanes = code.ctx.p, _check(code).rows * code.ctx.m
+    offsets, tabs, lanes, _, key = tables
+    p, q, w = ctx.p, ctx.q, _width(ctx.p)
     if p**lanes >= 1 << 63:
         return None
     try:
         import numpy as np
     except ImportError:
         return None
-    w, _, key = _packing(p, lanes)
     per = 63 // w
     add = _packing(p, per)[1]
     k = max(1, -(-lanes // per))
@@ -432,9 +429,8 @@ def _scan_numpy(code, spans):
             grid = grid * p + (words[lane // per] >> (w * (lane % per)) & (1 << w) - 1)
         return grid
 
-    offsets, tabs = _column_tables(code)
     offsets, tabs = split(offsets), [split(tab) for tab in tabs]
-    q, size = code.ctx.q, offsets[0].size
+    size = offsets[0].size
     dtype = np.uint32 if k == 1 and w * lanes <= 32 else np.int64
     keys = np.empty(size * (1 + sum((q - 1) * q ** (width - 1) for _, width in spans)), dtype=dtype)
     keys[:size] = keys_of(offsets)  # the zero burst
@@ -482,14 +478,17 @@ def max_list_size(
         _caps.check("burst enumeration q^tau * n", ctx.q**tau * code.n, limit)
         work = {"bursts": n_bursts, "pairs": code.size * n_bursts}
     spans = list(anchored_spans(space))
-    pairs, work["buckets"], max_count, key = _scan_numpy(code, spans) or _scan_pure(code, spans)
+    tables = _column_tables(code)
+    pairs, work["buckets"], max_count, key = _scan_numpy(ctx, tables, spans) or _scan_pure(tables, spans)
+    del tables  # the witness's decode builds its own tables
     if pairs != n_bursts * (1 if linear else code.size):
         raise AssertionError("bucketed burst count disagrees with the closed form")
     witness = None
     if ell is not None and max_count > ell:
-        # y is any word whose syndrome under the check has the key's base-q digits
-        check = _check(code)
-        y = solve_affine(check, [key // ctx.q**i % ctx.q for i in range(check.rows)])[0]
+        # y is any word whose syndrome under the check has the key's base-q
+        # digits; J*y is y reversed
+        digits = [key // ctx.q**i % ctx.q for i in range(code.r if linear else code.n)]
+        y = solve_affine(code.H, digits)[0] if linear else digits[::-1]
         # limit covered the scan, so it also covers each window's q^tau
         # solutions and the |C| codewords that decode checks against it
         found = decode(code, y, tau, phased, cap=limit).candidates

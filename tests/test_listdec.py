@@ -511,7 +511,8 @@ def test_multi_chunk_decode_matches_solve_affine_oracle(fields):
     big = {q: fields[q] for q in (512, 729, 257)}
     for ctx in big.values():
         code = LinearCode(ctx, 2, Mat(ctx, 1, 2, [1, 2]))
-        radix, tabs = listdec._packed_tables(code, 1, False)[:2]
+        dec = listdec._linear_decoder(code, 1, False)
+        radix, tabs = dec.radix, dec.cols
         assert radix < ctx.q <= radix**2 and all(len(chunks) == 2 for chunks in tabs)
     seen = linear_decode_coverage(linear_decode_cases(big, by_rank=True), 100)
     # clipped windows are rare under q^(tau - r) <= 729; the phased planted
@@ -580,6 +581,22 @@ def test_window_tables_are_keyed_by_tau_and_phase():
                 assert decode(code, y, tau, phased) == decode(make(), y, tau, phased)
             for t in (2, 3):
                 assert detects_single_burst(code, t) == detects_single_burst(make(), t)
+
+
+def test_certify_builds_a_decoder_only_to_refute(fields):
+    """Detection of a linear code reads window ranks, so a decodable
+    certify caches nothing; a refuted one decodes its worst word and
+    caches one decoder under (tau, False), whose windows keep no E rows
+    (each entry is the window, pivots, basis, offsets and mask)."""
+    ctx, tau = fields[7], 2
+    good = rs_code(ctx, 6, 4)
+    assert certify(good, tau, 1).decodable and good._window_tables == {}
+    bad = rs_code(ctx, 6, 2)
+    assert certify(bad, tau, 1).decodable is False
+    ((key, dec),) = bad._window_tables.items()
+    assert key == (tau, False) and isinstance(dec, listdec._LinearDecoder)
+    for win, pivots, basis, offsets, mask in dec.windows:
+        assert len(offsets) == len(pivots) and all(len(v) == len(win) for v in basis)
 
 
 # -- the numpy scan kernel against the pure-Python scan ---------------------
@@ -712,7 +729,8 @@ def test_certify_without_numpy_is_identical(monkeypatch, q, n, r, tau, ell):
 
 def test_keys_beyond_int64_take_the_pure_path():
     code = rs_code(field_new(2, 11), 23, 6)  # q^r = 2^66
-    assert listdec._scan_numpy(code, list(anchored_spans(BurstSpace(23, 1)))) is None
+    spans = list(anchored_spans(BurstSpace(23, 1)))
+    assert listdec._scan_numpy(code.ctx, listdec._column_tables(code), spans) is None
     rep = certify(code, 1, 1)
     assert rep.decodable and rep.work["bursts"] == count_bursts(2048, 23, 1)
 
@@ -781,9 +799,10 @@ def test_numpy_scan_matches_pure(monkeypatch, q, n, r, tau, phased, h, k, dtype)
     w = gf._packing(ctx.p, 1)[0]
     assert max(1, -(-rows * ctx.m // (63 // w))) == k
     spans = list(anchored_spans(BurstSpace(n, tau, phased)))
-    fast = listdec._scan_numpy(code, spans)
+    tables = listdec._column_tables(code)
+    fast = listdec._scan_numpy(ctx, tables, spans)
     assert stored == [dtype]
-    assert fast == listdec._scan_pure(code, spans)
+    assert fast == listdec._scan_pure(tables, spans)
     assert h != "random" or fast[2] == 2
 
 
@@ -823,23 +842,24 @@ def test_runs_match_counter(dtype, block):
 def test_gf32_tau4_certify_memory():
     """The GF(32) tau = 4 certify (28.5M bursts) peaks under 400 MiB: its
     keys take 4 B each, sorted in place and counted a block at a time.
-    The child reports its own peak (RUSAGE_SELF), not the session's
-    other children."""
+    The child reports the peak of its own address space (VmHWM): its
+    ru_maxrss would also count the pages of this process, which it
+    shares until it execs."""
     pytest.importorskip("numpy")
     src = os.path.dirname(os.path.dirname(os.path.abspath(burstkit.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     probe = (
-        "import resource, sys\n"
+        "import sys\n"
         "from burstkit import cli\n"
         "code = cli.main(['certify', '--construct', 'rs', '--q', '32', '--n', '31', '--r', '6', '--tau', '4', '--ell', '2'])\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
         "sys.exit(code)\n"
     )
     run = subprocess.run(
         [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=300
     )
     assert run.returncode == 0, run.stderr
-    assert int(run.stdout.split()[-1]) < 400 * 1024  # ru_maxrss is in KiB on Linux
+    assert int(run.stdout.split()[-1]) < 400 * 1024  # VmHWM is in KiB
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 1009])
