@@ -25,6 +25,7 @@ class LinearCode:
     n: int
     H: Mat
     G: Mat | None = None
+    _window_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.H.cols != self.n:
@@ -53,13 +54,6 @@ class LinearCode:
     def size(self) -> int:
         return self.ctx.q**self.k
 
-    @cached_property
-    def _window_tables(self) -> dict:
-        """listdec's decoder, one per (tau, phased) and keyed by it: the
-        packed H and E_all tables and each window's solve data; filled on
-        first decode (detection builds none)."""
-        return {}
-
     def syndrome(self, w) -> tuple[Fe, ...]:
         return tuple(mat_vec(self.H, list(w)))
 
@@ -85,6 +79,7 @@ class ExplicitCode:
     ctx: FieldCtx
     n: int
     codewords: tuple[Word, ...]
+    _window_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.codewords:
@@ -101,12 +96,6 @@ class ExplicitCode:
     @cached_property
     def _members(self) -> frozenset[Word]:
         return frozenset(self.codewords)
-
-    @cached_property
-    def _window_tables(self) -> dict:
-        """listdec's decoder windows, keyed by (tau, phased) and filled on
-        first use: the codewords grouped by what each window leaves."""
-        return {}
 
     def contains(self, w) -> bool:
         return tuple(w) in self._members

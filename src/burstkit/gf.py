@@ -21,7 +21,8 @@ the same field agree element by element:
 
 * modulus: the monic irreducible polynomial of degree m over GF(p)
   whose coefficient vector (constant term first) packs to the smallest
-  integer in base p;
+  integer in base p. The search, and the check of a modulus the caller
+  gives, are one trial division on packed digit lanes (below);
 * generator: the element of smallest canonical index whose
   multiplicative order is exactly q - 1.
 
@@ -57,7 +58,8 @@ from __future__ import annotations
 import math
 import operator
 from collections import deque
-from itertools import accumulate, cycle, islice, repeat
+from functools import partial
+from itertools import accumulate, cycle, islice, product, repeat
 
 Fe = int  # canonical element index in [0, q)
 
@@ -76,65 +78,6 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
-
-
-def _digits(v: int, p: int, m: int) -> list[int]:
-    out = []
-    for _ in range(m):
-        v, d = divmod(v, p)
-        out.append(d)
-    return out
-
-
-# -- polynomial helpers over GF(p), coefficient lists lowest degree first --
-
-def _ptrim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmod(a: list[int], mod: list[int], p: int) -> list[int]:
-    # mod must be monic
-    a = list(a)
-    dm = len(mod) - 1
-    while len(a) > dm:
-        c = a[-1]
-        if c:
-            off = len(a) - 1 - dm
-            for j in range(dm):
-                a[off + j] = (a[off + j] - c * mod[j]) % p
-        a.pop()
-    return _ptrim(a)
-
-
-def _is_irreducible(poly: list[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree 1..deg/2; for
-    p = 2 on polynomials packed into ints, one XOR per quotient term."""
-    m = len(poly) - 1
-    if p == 2:
-        f = sum(c << k for k, c in enumerate(poly))
-        for div in range(2, 2 << m // 2):
-            r, n = f, div.bit_length()
-            while (s := r.bit_length() - n) >= 0:
-                r ^= div << s
-            if not r:
-                return False
-        return True
-    for d in range(1, m // 2 + 1):
-        for v in range(p ** d):
-            div = _digits(v, p, d) + [1]
-            if not _pmod(poly, div, p):
-                return False
-    return True
-
-
-def _find_modulus(p: int, m: int) -> tuple[int, ...]:
-    for v in range(p ** m):
-        cand = _digits(v, p, m) + [1]
-        if _is_irreducible(cand, p):
-            return tuple(cand)
-    raise AssertionError(f"no irreducible polynomial of degree {m} over GF({p})")
 
 
 # -- packed digit lanes ----------------------------------------------------
@@ -174,6 +117,40 @@ def _spread(x: int, p: int, lanes: int, w: int = 0) -> int:
     return sum(x // p**k % p << (w * k) for k in range(lanes))
 
 
+def _times(add, a: int, d: int) -> int:
+    """d * a under add, by doubling."""
+    r = a if d & 1 else 0
+    while d := d >> 1:
+        a = add(a, a)
+        if d & 1:
+            r = add(r, a)
+    return r
+
+
+def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
+    """Trial division of the monic poly (constant term first) by every monic
+    polynomial of degree 1..deg/2, on packed lanes: a quotient term clears
+    the remainder's top lane c by adding p - c times the shifted divisor."""
+    m = len(poly) - 1
+    w, add, _ = _packing(p, m + 1)
+    f = sum(c << w * k for k, c in enumerate(poly))
+    lows = [0]  # the packed polynomials of degree < d
+    for d in range(1, m // 2 + 1):
+        lows = [x + (c << w * (d - 1)) for c in range(p) for x in lows]
+        for div in map((1 << w * d).__add__, lows):
+            r = f
+            while (s := (r.bit_length() - 1) // w - d) >= 0:  # r's top lane is s + d
+                r = add(r, _times(add, div << w * s, p - (r >> w * (s + d))))
+            if not r:
+                return False
+    return True
+
+
+def _find_modulus(p: int, m: int) -> tuple[int, ...]:
+    # product varies its last entry fastest, so reversed it walks in packed order
+    return next(c for top in product(range(p), repeat=m) if _is_irreducible(c := (*reversed(top), 1), p))
+
+
 def _outer_table(add, images: list[int], base: int, stride: int = 0) -> list[int]:
     """The combinations sum((d_k mod base) * images[k]) under add, for
     digits d_k in [0, stride), as a list indexed by sum(d_k * stride^k)
@@ -208,14 +185,7 @@ def _exp_table(p: int, m: int, modulus: tuple[int, ...]) -> tuple[int, list[int]
     w, add, _ = _packing(p, m, w)
     top, digit = w * m, (1 << w) - 1
     red = sum(-a % p << (w * j) for j, a in enumerate(modulus[:m]))  # x^m
-
-    def times(a: int, d: int) -> int:  # d * a, by doubling
-        r = a if d & 1 else 0
-        while d := d >> 1:
-            a = add(a, a)
-            if d & 1:
-                r = add(r, a)
-        return r
+    times = partial(_times, add)
 
     def mulx(a: int) -> int:
         a <<= w
@@ -352,7 +322,7 @@ class FieldCtx:
         # and a large q before p is factored
         if p >= 2 and (m >= MAX_FIELD_SIZE.bit_length() or p**m > MAX_FIELD_SIZE):
             raise ValueError(f"field size {p}^{m} exceeds the cap {MAX_FIELD_SIZE}")
-        if p < 2 or any(p % f == 0 for f in range(2, math.isqrt(p) + 1)):
+        if _prime_factors(p) != [p]:
             raise ValueError(f"characteristic {p} is not prime")
         q = p ** m
         self.p = p
@@ -365,7 +335,7 @@ class FieldCtx:
             modulus = tuple(int(c) % p for c in modulus)
             if len(modulus) != m + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree m")
-            if not _is_irreducible(list(modulus), p):
+            if not _is_irreducible(modulus, p):
                 raise ValueError(f"modulus {modulus} is reducible over GF({p})")
         self.modulus = modulus
 

@@ -196,6 +196,35 @@ def test_reducible_modulus_rejected():
         FieldCtx(2, 4, (1, 0, 0, 0, 1))  # x^4 + 1 = (x+1)^4
 
 
+SMALL_DEGREES = [(2, m) for m in range(1, 9)] + [(3, m) for m in range(1, 6)]
+SMALL_DEGREES += [(p, m) for p in (5, 7) for m in range(1, 4)] + [(11, 2), (13, 2)]
+
+
+def test_packed_trial_division_matches_the_digit_list_oracle():
+    """The packed-lane trial division agrees with the digit-list one on
+    every monic polynomial of these degrees, reducible ones included."""
+    for p, m in SMALL_DEGREES:
+        polys = [oracle_digits(v, p, m) + [1] for v in range(p**m)]
+        verdicts = [gf._is_irreducible(tuple(f), p) for f in polys]
+        assert verdicts == [oracle_irreducible(f, p) for f in polys], (p, m)
+        assert 0 < sum(verdicts) < len(polys) or m == 1, (p, m)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_every_reducible_modulus_of_a_quadratic_field_is_refused(p):
+    reducible = [f for v in range(p * p) if not oracle_irreducible(f := oracle_digits(v, p, 2) + [1], p)]
+    assert len(reducible) == p * (p + 1) // 2  # (x - a)(x - b), a <= b
+    for modulus in reducible:
+        with pytest.raises(ValueError, match="reducible"):
+            FieldCtx(p, 2, tuple(modulus))
+
+
+@pytest.mark.parametrize("p", [0, 1, 9, 1048575])
+def test_non_prime_characteristic_refused(p):
+    with pytest.raises(ValueError, match="not prime"):
+        FieldCtx(p, 1)
+
+
 def test_element_order_examples(fields):
     f7, f16 = fields[7], fields[16]
     assert f7.order(1) == 1
