@@ -248,7 +248,7 @@ def code_from_dict(d: dict) -> CodeHandle:
         raise ValueError(f"unsupported code schema: {d.get('schema')!r}")
     ctx = field_from_dict(_key(d, "field"))
     n, meta = _key(d, "n"), d.get("meta", {})
-    if not isinstance(n, int) or not isinstance(meta, dict):
+    if type(n) is not int or not isinstance(meta, dict):
         raise ValueError("code file 'n' must be an integer and 'meta' an object")
     kind = _key(d, "kind")
     if kind == "linear":
@@ -273,6 +273,6 @@ def _elements(ctx: FieldCtx, what: str, rows) -> list[list[Fe]]:
     if not isinstance(rows, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rows):
         raise ValueError(f"{what} entries must be given as a list of rows")
     for x in (x for row in rows for x in row):
-        if not isinstance(x, int) or not 0 <= x < ctx.q:
+        if type(x) is not int or not 0 <= x < ctx.q:  # JSON true is no element
             raise ValueError(f"{what} entry {x!r} is not an element of GF({ctx.q})")
     return [list(row) for row in rows]

@@ -59,7 +59,7 @@ import math
 import operator
 from collections import deque
 from functools import partial
-from itertools import accumulate, cycle, islice, product, repeat
+from itertools import accumulate, chain, cycle, islice, product, repeat
 
 Fe = int  # canonical element index in [0, q)
 
@@ -114,7 +114,11 @@ def _packing(p: int, lanes: int, w: int = 0):
 def _spread(x: int, p: int, lanes: int, w: int = 0) -> int:
     """key's inverse: the base-p digits of x, one per packed lane."""
     w = w or _width(p)
-    return sum(x // p**k % p << (w * k) for k in range(lanes))
+    s = 0
+    for k in range(lanes):
+        x, d = divmod(x, p)
+        s |= d << w * k
+    return s
 
 
 def _times(add, a: int, d: int) -> int:
@@ -154,17 +158,13 @@ def _find_modulus(p: int, m: int) -> tuple[int, ...]:
 def _outer_table(add, images: list[int], base: int, stride: int = 0) -> list[int]:
     """The combinations sum((d_k mod base) * images[k]) under add, for
     digits d_k in [0, stride), as a list indexed by sum(d_k * stride^k)
-    (stride defaults to base). The multiples of each image take base - 1
-    adds, then each image below the last widens the table by an outer sum."""
-
-    def column(image: int) -> list[int]:
-        return list(islice(cycle(accumulate(repeat(image, base - 1), add, initial=0)), stride or base))
-
-    *low, top = images
-    tab = column(top)
-    for image in reversed(low):
-        col = column(image)
-        tab = [add(t, x) for t in tab for x in col]
+    (stride defaults to base). Each image, lowest digit first, widens the
+    table by adding its nonzero multiples to every entry so far; the zero
+    multiple's block is the table itself, so no entry is added to 0."""
+    tab = [0]
+    for image in images:
+        blocks = [tab] + [[add(t, x) for t in tab] for x in accumulate(repeat(image, base - 1), add)]
+        tab = list(chain.from_iterable(islice(cycle(blocks), stride or base)))
     return tab
 
 
@@ -438,7 +438,8 @@ def field_from_dict(d: dict) -> FieldCtx:
     if not isinstance(d, dict) or not {"p", "m", "modulus"} <= d.keys():
         raise ValueError("field must be an object with keys 'p', 'm' and 'modulus'")
     p, m, modulus = d["p"], d["m"], d["modulus"]
-    if not (isinstance(modulus, list) and all(isinstance(x, int) for x in (p, m, *modulus))):
+    # JSON true and false are ints to isinstance, so the type itself is checked
+    if not (isinstance(modulus, list) and all(type(x) is int for x in (p, m, *modulus))):
         raise ValueError("field 'p' and 'm' must be integers and 'modulus' a list of integers")
     return FieldCtx(p, m, tuple(modulus))
 

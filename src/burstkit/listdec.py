@@ -7,14 +7,14 @@ empty set). It reads one decoder per (tau, phased), built on first use
 and cached on the code object. For a linear code each window has an
 RREF transform E, and E*H*y gives the window's payloads with no
 elimination per word. Each window's E goes into the stack E_all as the
-window is reduced, and only H and E_all are kept, as packed-lane tables
-per column and chunk of an element: a decode adds one table entry per
-chunk of y to get H*y, one per chunk of each syndrome row to get
-E_all*H*y, then tests each window's annihilator lanes for zero and
-reads each pivot's lanes, with no field operation before the
-candidates are formed. For an explicit code the codewords are grouped
-by what is left once the window's positions are deleted, so y is
-looked up rather than compared with every codeword.
+window is reduced, and only H and E_all are kept, as packed-lane tables:
+a decode adds one table entry per chunk of each element of y to get H*y
+as packed lanes, one per byte of those lanes to get E_all*H*y, then
+tests each window's annihilator lanes for zero and reads each pivot's
+lanes, with no field operation before the candidates are formed. For
+an explicit code the codewords are grouped by what is left once the
+window's positions are deleted, so y is looked up rather than compared
+with every codeword.
 Certification never scans received words. One scan keys every sum
 c + e of a codeword and a tau-burst by check*c + check*e and reads the
 largest bucket. A linear code's check is H, so every offset check*c is
@@ -57,7 +57,7 @@ from .burst import (
     is_burst,
 )
 from .codes import CodeHandle, ExplicitCode, LinearCode
-from .gf import Fe, _outer_table, _packing, _spread, _width
+from .gf import _outer_table, _packing, _spread, _times, _width
 from .matpoly import Mat, _null_basis_from_rref, _rref_rows, rank, solve_affine, span_members
 
 
@@ -130,8 +130,8 @@ def _decode_linear(code: LinearCode, y: Word, tau: int, space: BurstSpace, cap) 
     ctx = code.ctx
     limit = _caps.solutions_cap(cap)
     radix, cols, rows, add_s, add, lane, index, windows = _linear_decoder(code, tau, space.phased)
-    s, w = _apply(cols, radix, add_s, y), lane.bit_length()  # H*y as packed lanes
-    z = _apply(rows, radix, add, [index(s >> w * k & lane) for k in range(code.r)])  # E_all*H*y
+    s = _apply(cols, radix, add_s, y)  # H*y as packed lanes
+    z = _apply([rows], 256, add, [s])  # E_all*H*y, a byte of H*y per table
     found: dict[Word, BurstPattern] = {}
     stats: dict[int, int] = {}
     for win, pivots, basis, offsets, mask in windows:
@@ -176,18 +176,21 @@ class _LinearDecoder(NamedTuple):
     of the system H_W*u = H*y is [R | z]: it is consistent iff z is zero
     past the rank (the annihilator rows of E, which span the left null
     space of H_W), and its particular solution holds z[i] at pivot i
-    (the solve rows, the first rank rows of E). cols and rows are the
-    chunk tables of H and of E_all, every window's E stacked: a decode
-    adds one entry per chunk of y for H*y (r*m lanes, add_s), then one
-    per chunk of each syndrome row for E_all*H*y (add). Going through H*y
-    keeps the tables linear in n: n position tables of E_all*H, each
-    entry as wide as E_all, would grow as n^2 (103 MiB against 5 MiB for
-    an RS code over GF(256) with n = 255, r = 6, tau = 4). radix is at
-    most 256, or p for m > 1 and p > 256; lane masks one row's m lanes,
-    and index maps them to the element. windows holds (window, pivots,
-    canonical null basis of H_W, offsets, mask): window t's rows take m
-    lanes each from bit t*r*m*w of E_all*H*y, offsets are its solve
-    rows' and mask covers its annihilator rows.
+    (the solve rows, the first rank rows of E). cols holds H's tables,
+    per column one per base-radix chunk of an element of y (_tables over
+    its base-p digits for m > 1, over its bits for m = 1). rows holds
+    E_all's, every window's E stacked, one per byte of H*y: bit b of
+    lane k of row i stands for 2^b * p^k at row i. A decode adds one
+    entry per chunk of y for H*y (r*m lanes of w bits, add_s), then one
+    per byte of H*y for E_all*H*y (add). Going through H*y keeps the
+    tables linear in n: n position tables of E_all*H, each entry as wide
+    as E_all, would grow as n^2 (103 MiB against 5 MiB for an RS code
+    over GF(256) with n = 255, r = 6, tau = 4). lane masks one row's m
+    lanes, and index maps them to the element: the identity for p = 2
+    or m = 1, else the byte tables of the integers 2^b * p^k. windows
+    holds (window, pivots, canonical null basis of H_W, offsets, mask):
+    window t's rows take m lanes each from bit t*r*m*w of E_all*H*y,
+    offsets are its solve rows' and mask covers its annihilator rows.
     """
 
     radix: int
@@ -206,7 +209,8 @@ def _linear_decoder(code: LinearCode, tau: int, phased: bool) -> _LinearDecoder:
     dec = code._window_tables.get((tau, phased))
     if dec is None:
         ctx, r, p, m = code.ctx, code.r, code.ctx.p, code.ctx.m
-        lane = _width(p) * m
+        w = _width(p)
+        lane = w * m
         windows, e_all = [], []
         for t, win in enumerate(BurstSpace(code.n, tau, phased).windows):
             width = len(win)
@@ -217,12 +221,14 @@ def _linear_decoder(code: LinearCode, tau: int, phased: bool) -> _LinearDecoder:
             offsets, mask = tuple(range(first, solved, lane)), (1 << first + r * lane) - (1 << solved)
             windows.append((win, pivots, _null_basis_from_rref(ctx, aug, pivots, width), offsets, mask))
         add_s, add = _packing(p, r * m)[1], _packing(p, len(e_all) * m)[1]
-        radix = p if m > 1 else min(p, 256)
-        while m > 1 and radix * p <= 256:
-            radix *= p
-        cols = _matrix_tables(ctx, code.H, add_s, radix)
-        rows = _matrix_tables(ctx, Mat.from_rows(ctx, e_all, cols=r), add, radix)
-        dec = _LinearDecoder(radix, cols, rows, add_s, add, (1 << lane) - 1, _index(ctx), windows)
+        base = p if m > 1 else 2
+        cols = [_tables(add_s, images, base) for images in _images(ctx, code.H, base)]
+        # E_all's image of p^k at each row of H*y, lane by lane; bit b of a lane counts 2^b of it
+        units = [x for col in _images(ctx, Mat.from_rows(ctx, e_all, cols=r), p) for x in col]
+        rows = _tables(add, [_times(add, x, 1 << b) for x in units for b in range(w)], 2)[0]
+        digits = _tables(operator.add, [p**k << b for k in range(m) for b in range(w)], 2)[0]
+        index = int if p == 2 or m == 1 else lambda v: _apply([digits], 256, operator.add, [v])
+        dec = _LinearDecoder(cols[0][1], [t for t, _ in cols], rows, add_s, add, (1 << lane) - 1, index, windows)
         code._window_tables[(tau, phased)] = dec
     return dec
 
@@ -243,51 +249,27 @@ def _explicit_windows(code: ExplicitCode, tau: int, phased: bool) -> list[tuple[
     return table
 
 
-def _index(ctx) -> Callable[[int], Fe]:
-    """An element's base-p digits as packed lanes (gf._spread) back to
-    the element, by tables of g lanes at a time (2^(w*g) <= 4096); int,
-    the identity, unless p^m is odd with m > 1."""
-    p, m = ctx.p, ctx.m
-    if p == 2 or m == 1:
-        return int
-    w = _width(p)
-    g = max(1, 12 // w)
-    index = [
-        _outer_table(operator.add, [p**k for k in range(j, min(j + g, m))], p, 1 << w) for j in range(0, m, g)
-    ]
-    return lambda v: _apply([index], 1 << w * g, operator.add, [v])
-
-
-def _chunk_tables(ctx, add, image, radix: int) -> list[list[int]]:
-    """Tables of a GF(p)-linear map f from GF(q) to packed lanes, given
-    on units by image, one per base-radix chunk of an element's index:
-    tabs[k][d] = f(d * radix^k). For m > 1 radix is a power of p, so a
-    chunk is a group of coefficients; for a prime field f(d * radix^k)
-    is d * f(radix^k)."""
-    q = ctx.q
-    base = ctx.p if ctx.m > 1 else radix
-    tabs, unit = [], 1
-    while unit < q:
-        top, images = unit * radix, []
-        while unit < min(top, q):
-            images.append(image(unit))
-            unit *= base
-        tabs.append(_outer_table(add, images, base))
-    return tabs
-
-
-def _matrix_tables(ctx, h: Mat, add, radix: int) -> list[list[list[int]]]:
-    """Per column j of h, the chunk tables of u -> h[:, j]*u as packed
-    lanes, entry i in lanes m*i .. m*i + m - 1 (gf._spread, the identity
-    for p = 2 or m = 1)."""
+def _images(ctx, h: Mat, base: int) -> list[list[int]]:
+    """Per column j of h, the image h[:, j]*u of each digit unit
+    u = base^k < q as packed lanes, entry i in lanes m*i .. m*i + m - 1
+    (gf._spread, the identity for p = 2 or m = 1)."""
     p, m = ctx.p, ctx.m
     spread = int if p == 2 or m == 1 else lambda x: _spread(x, p, m)
     shift = _width(p) * m
+    units = [u for k in range((ctx.q - 1).bit_length()) if (u := base**k) < ctx.q]
+    return [
+        [sum(spread(ctx.mul(h.at(i, j), u)) << shift * i for i in range(h.rows)) for u in units]
+        for j in range(h.cols)
+    ]
 
-    def column(j: int):
-        return lambda u: sum(spread(ctx.mul(h.at(i, j), u)) << shift * i for i in range(h.rows))
 
-    return [_chunk_tables(ctx, add, column(j), radix) for j in range(h.cols)]
+def _tables(add, images: list[int], base: int) -> tuple[list[list[int]], int]:
+    """(tables, radix) of a GF(p)-linear map given on the units of a
+    base-base number by images: one gf._outer_table per chunk of c
+    digits, c the most with radix = base^c <= 256 (1 when base > 256),
+    so that tables[k][d] is the image of d * radix^k."""
+    c = next((c for c in range(8, 1, -1) if base**c <= 256), 1)
+    return [_outer_table(add, images[k : k + c], base) for k in range(0, len(images), c)], base**c
 
 
 def _apply(tabs, radix: int, add, word) -> int:
@@ -339,7 +321,7 @@ def _column_tables(code):
     lanes = (code.r if linear else n) * ctx.m
     _, add, key = _packing(ctx.p, lanes)
     if linear:
-        return [0], [chunks[0] for chunks in _matrix_tables(ctx, code.H, add, ctx.q)], lanes, add, key
+        return [0], [_outer_table(add, images, ctx.p) for images in _images(ctx, code.H, ctx.p)], lanes, add, key
     digits = [_spread(d, ctx.p, ctx.m) for d in range(ctx.q)]
     tabs = [[x << _width(ctx.p) * ctx.m * (n - 1 - j) for x in digits] for j in range(n)]
     return [sum(tab[x] for tab, x in zip(tabs, c)) for c in code.codewords], tabs, lanes, add, key

@@ -192,3 +192,5 @@ def test_integer_predicates_reject_bad_inputs():
         reiger_group(2, 4, 2, 0, 1)
     with pytest.raises(ValueError):
         general_code_ell2(2, 4, 2, 0)
+    with pytest.raises(ValueError, match="^tau and ell must be positive$"):
+        reiger_linear_min_r(0, 1)

@@ -145,6 +145,8 @@ def test_burst_pattern_round_trip():
     pat = BurstPattern.from_word(w, 3)
     assert pat.start == 1 and pat.payload == (2, 0, 1)
     assert pat.expand(5) == w
+    with pytest.raises(ValueError, match="^pattern does not fit in a word of this length$"):
+        pat.expand(3)
     tail = BurstPattern.from_word((0, 0, 0, 1), 2)
     assert tail.start == 3 and tail.payload == (1,)  # clipped at the end
     z = BurstPattern.from_word((0, 0), 1)

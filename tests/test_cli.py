@@ -317,6 +317,33 @@ def test_malformed_code_files_are_usage_errors(capsys, tmp_path, edit, message):
     assert captured.out == "" and captured.err == message + "\n"
 
 
+def _explicit_true(d):
+    _explicit(d)
+    d["codewords"][1][0] = True
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda d: d["H"][0].__setitem__(0, True), "error: H entry True is not an element of GF(7)"),
+        (lambda d: d.update(G=[[True] * 6] * 3), "error: G entry True is not an element of GF(7)"),
+        (_explicit_true, "error: codeword entry True is not an element of GF(7)"),
+        (lambda d: {**d, "n": True}, SCALARS),
+        (lambda d: {**d, "field": {**d["field"], "p": True}}, FIELD_SCALARS),
+        (lambda d: {**d, "field": {**d["field"], "m": True}}, FIELD_SCALARS),
+        (lambda d: d["field"]["modulus"].__setitem__(-1, True), FIELD_SCALARS),
+    ],
+    ids=["H", "G", "codeword", "n", "field-p", "field-m", "field-modulus"],
+)
+def test_json_booleans_are_not_integers(capsys, tmp_path, edit, message):
+    """JSON true is a Python int to isinstance, but no entry of a code
+    file may be one: each is refused with exit 2 and nothing on stdout."""
+    path = _rs7_file(tmp_path, edit)
+    assert main(["certify", "--code", path, "--tau", "2", "--ell", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message + "\n"
+
+
 def test_failed_witness_replay_is_an_internal_error(capsys, monkeypatch):
     monkeypatch.setattr("burstkit.cli.replay_witness", lambda *a: False)
     argv = ["certify", "--construct", "rs", "--q", "7", "--n", "6", "--r", "3", "--tau", "2", "--ell", "1"]
@@ -398,6 +425,8 @@ BOUNDS = ["bounds", "--q", "3", "--n", "4", "--tau", "2", "--size", "4"]
         (["count-bursts", "--q", "-3", "--n", "4", "--tau", "2"], "the alphabet size q must be at least 2, got -3"),
         (["count-bursts", "--q", "1", "--n", "4", "--tau", "2"], "the alphabet size q must be at least 2, got 1"),
         (["certify", "--construct", "ex1", "--tau", "2", "--ell", "1"], "a construction needs --q"),
+        (["certify", "--tau", "2", "--ell", "1"], "either --code or --construct is required"),
+        (["decode", "--y", "1,2,3", "--tau", "2"], "either --code or --construct is required"),
         (["certify", "--construct", "rs", "--q", "7", "--tau", "2", "--ell", "1"], "rs construction needs --n and --r"),
         (["decode", *RS7, "--y", "1,2,3,4,5,6", "--tau", "2", "--ell", "0"], "the list size bound must be at least 1"),
         (["decode", *RS7, "--y", "1,2,3,4,5,6", "--tau", "2", "--ell", "-1"], "the list size bound must be at least 1"),
@@ -420,6 +449,7 @@ BOUNDS = ["bounds", "--q", "3", "--n", "4", "--tau", "2", "--size", "4"]
         "cap-negative", "cap-text", "alpha-99", "alpha-minus-2", "beta-minus-3", "delta-5",
         "bounds-q1", "bounds-n-minus-4", "lemma_Mell-n-minus-4", "general_ell2-ell-minus-5",
         "no_detection_ell2-ell-minus-5", "lemma_Mell-ell-minus-5", "tau-0", "count-q-minus-3", "count-q1", "no-q",
+        "certify-no-code", "decode-no-code",
         "rs-no-n-r", "decode-ell-0", "decode-ell-minus-1",
         "reproduce-example1-q0", "reproduce-rs_grid-q0", "reproduce-rs_grid-n0", "reproduce-rs_grid-n2",
         "reproduce-count-minus-5", "reproduce-samples-0",

@@ -140,6 +140,7 @@ def test_is_group_code(fields):
     assert is_group_code(example_code_2(fields[2], 1))
     # any linear code expanded to explicit form is a group code
     assert is_group_code(expand(rs_code(fields[7], 6, 4)))
+    assert expand(CodeHandle(rs_code(fields[7], 6, 4))) == expand(rs_code(fields[7], 6, 4))
     assert not is_group_code(example_code_2(f3, 1))
 
 
@@ -151,6 +152,8 @@ def test_linear_code_validation(fields):
     bad_g = Mat.from_rows(f2, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]])
     with pytest.raises(ValueError):
         LinearCode(f2, 4, good_h, bad_g)
+    with pytest.raises(ValueError, match="^parity-check width does not match the length$"):
+        LinearCode(f2, 5, good_h)
 
 
 def test_explicit_code_dedup_and_redundancy(fields):
@@ -158,6 +161,10 @@ def test_explicit_code_dedup_and_redundancy(fields):
     code = ExplicitCode(f3, 2, ((1, 1), (0, 1), (1, 1)))
     assert code.codewords == ((0, 1), (1, 1))
     assert code.redundancy_exact() == (2, 9)
+    with pytest.raises(ValueError, match="^a code must contain at least one word$"):
+        ExplicitCode(f3, 2, ())
+    with pytest.raises(ValueError, match="^codeword length mismatch$"):
+        ExplicitCode(f3, 2, ((1, 1), (0, 1, 2)))
 
 
 def test_serialization_round_trip(fields):

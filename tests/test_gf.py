@@ -189,6 +189,8 @@ def test_field_new_rejects_bad_parameters():
         field_new(2, 0)
     with pytest.raises(ValueError):
         field_new(2, 21)  # 2^21 > cap
+    with pytest.raises(ValueError, match="^field size 2097152 exceeds the cap 1048576$"):
+        field_from_order(2**21)
 
 
 def test_reducible_modulus_rejected():
@@ -232,6 +234,12 @@ def test_element_order_examples(fields):
     assert f16.order(f16.generator) == 15
     with pytest.raises(ValueError):
         f7.order(0)
+    with pytest.raises(ZeroDivisionError, match="^zero has no multiplicative inverse$"):
+        f7.inv(0)
+    with pytest.raises(ZeroDivisionError, match="^0 cannot be raised to a negative power$"):
+        f16.pow(0, -1)
+    with pytest.raises(ValueError, match="^zero has no discrete logarithm$"):
+        f16.log(0)
 
 
 def _all_small_fields(limit=256):

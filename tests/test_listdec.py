@@ -507,7 +507,8 @@ def test_linear_decode_matches_solve_affine_oracle():
 def test_multi_chunk_decode_matches_solve_affine_oracle(fields):
     """GF(2^9), GF(3^6) and GF(257) split each element into two chunks
     (radix 256, 243 and 256), so every decode adds two table entries
-    per position and, for GF(3^6), converts lanes to an index."""
+    per position to get H*y and, for GF(3^6), reads each pivot's lanes
+    back to an index by byte tables."""
     big = {q: fields[q] for q in (512, 729, 257)}
     for ctx in big.values():
         code = LinearCode(ctx, 2, Mat(ctx, 1, 2, [1, 2]))
@@ -518,6 +519,15 @@ def test_multi_chunk_decode_matches_solve_affine_oracle(fields):
     # clipped windows are rare under q^(tau - r) <= 729; the phased planted
     # words over GF(2^16) and GF(2^20) below end in one
     assert seen >= {"cap", "decoded", "rank-deficient", "r=0", "list"}
+
+
+@pytest.mark.parametrize("q", [3**4, 5**3, 257**2])
+def test_pivot_readout_inverts_spread(fields, q):
+    """The decoder's index reads an odd p^m element's packed digit lanes
+    back to the element, for every element of the field."""
+    ctx = fields[q]
+    index = listdec._linear_decoder(rs_code(ctx, 4, 2), 2, False).index
+    assert all(index(gf._spread(x, ctx.p, ctx.m)) == x for x in range(q))
 
 
 @pytest.mark.parametrize(

@@ -181,6 +181,20 @@ def test_field_mismatch_rejected():
         mat_mul(Mat.identity(f2, 2), Mat.identity(f3, 2))
 
 
+def test_shape_mismatches_rejected(fields):
+    f5 = fields[5]
+    with pytest.raises(ValueError, match="^data length does not match dimensions$"):
+        Mat(f5, 2, 2, [1, 2, 3])
+    with pytest.raises(ValueError, match="^cannot infer column count from an empty row list$"):
+        Mat.from_rows(f5, [])
+    with pytest.raises(ValueError, match="^ragged rows$"):
+        Mat.from_rows(f5, [[1, 2], [3]])
+    with pytest.raises(ValueError, match="^inner dimensions do not match$"):
+        mat_mul(Mat.identity(f5, 2), Mat.identity(f5, 3))
+    with pytest.raises(ValueError, match="^vector length does not match column count$"):
+        mat_vec(Mat.identity(f5, 2), [1, 2, 3])
+
+
 def test_poly_from_roots(fields):
     f5 = fields[5]
     p = poly_from_roots(f5, [1, 2])

@@ -50,6 +50,10 @@ def test_instance_validation():
         ResultantInstance(f7, 3, (1, 0), (1, 1))  # zero block size
     with pytest.raises(ValueError):
         ResultantInstance(f7, 6, (4, 3), (1, 1))  # order(6) = 2 < r = 7
+    with pytest.raises(ValueError, match="^mu and beta must have the same length$"):
+        ResultantInstance(f7, 3, (1, 1), (1, 2, 3))
+    with pytest.raises(ValueError, match=r"^r must be at least ell \+ 1$"):
+        sample_instance(f7, random.Random(0), 2, 2)
     inst = ResultantInstance(f7, 3, (2, 1), (1, 2))
     assert inst.r == 3 and inst.taus == (1, 2) and inst.prefix_sums == (2, 3)
 
@@ -116,6 +120,10 @@ def test_leading_constant_examples():
     assert leading_constant(f5, 2, (1, 1)) == 1
     assert leading_constant(f7, 3, (3,)) == 1  # single block: empty products
     assert leading_constant(f7, 3, (1, 1, 1)) == 5  # hand-expanded value
+    with pytest.raises(ValueError, match="^block sizes must be positive$"):
+        leading_constant(f7, 3, (1, 0))
+    with pytest.raises(ValueError, match="^alpha must have multiplicative order at least r = 4$"):
+        leading_constant(f7, 6, (2, 2))  # order(6) = 2
 
 
 def test_leading_constant_is_the_beta_independent_factor():
