@@ -58,7 +58,7 @@ from .burst import (
 )
 from .codes import CodeHandle, ExplicitCode, LinearCode
 from .gf import _outer_table, _packing, _spread, _times, _width
-from .matpoly import Mat, _null_basis_from_rref, _rref_rows, rank, solve_affine, span_members
+from .matpoly import _echelon, _null_basis_from_rref, _rref_rows, solve_affine, span_members
 
 
 @dataclass
@@ -211,10 +211,11 @@ def _linear_decoder(code: LinearCode, tau: int, phased: bool) -> _LinearDecoder:
         ctx, r, p, m = code.ctx, code.r, code.ctx.p, code.ctx.m
         w = _width(p)
         lane = w * m
+        h = code.H.to_rows()
         windows, e_all = [], []
         for t, win in enumerate(BurstSpace(code.n, tau, phased).windows):
             width = len(win)
-            aug = [[code.H.at(i, j) for j in win] + [int(i == k) for k in range(r)] for i in range(r)]
+            aug = [row[win.start : win.stop] + [int(i == k) for k in range(r)] for i, row in enumerate(h)]
             pivots = tuple(c for c in _rref_rows(ctx, aug, width + r) if c < width)
             e_all.extend(row[width:] for row in aug)
             first, solved = t * r * lane, (t * r + len(pivots)) * lane  # the first annihilator row's bit
@@ -222,9 +223,9 @@ def _linear_decoder(code: LinearCode, tau: int, phased: bool) -> _LinearDecoder:
             windows.append((win, pivots, _null_basis_from_rref(ctx, aug, pivots, width), offsets, mask))
         add_s, add = _packing(p, r * m)[1], _packing(p, len(e_all) * m)[1]
         base = p if m > 1 else 2
-        cols = [_tables(add_s, images, base) for images in _images(ctx, code.H, base)]
+        cols = [_tables(add_s, images, base) for images in _images(ctx, h, code.n, base)]
         # E_all's image of p^k at each row of H*y, lane by lane; bit b of a lane counts 2^b of it
-        units = [x for col in _images(ctx, Mat.from_rows(ctx, e_all, cols=r), p) for x in col]
+        units = [x for col in _images(ctx, e_all, r, p) for x in col]
         rows = _tables(add, [_times(add, x, 1 << b) for x in units for b in range(w)], 2)[0]
         digits = _tables(operator.add, [p**k << b for k in range(m) for b in range(w)], 2)[0]
         index = int if p == 2 or m == 1 else lambda v: _apply([digits], 256, operator.add, [v])
@@ -249,17 +250,18 @@ def _explicit_windows(code: ExplicitCode, tau: int, phased: bool) -> list[tuple[
     return table
 
 
-def _images(ctx, h: Mat, base: int) -> list[list[int]]:
-    """Per column j of h, the image h[:, j]*u of each digit unit
-    u = base^k < q as packed lanes, entry i in lanes m*i .. m*i + m - 1
-    (gf._spread, the identity for p = 2 or m = 1)."""
-    p, m = ctx.p, ctx.m
+def _images(ctx, rows, cols: int, base: int) -> list[list[int]]:
+    """Per column of the matrix with these rows (cols columns, also with
+    no rows), the image of each digit unit base^k < q as packed lanes, row
+    i in lanes m*i .. m*i + m - 1 (gf._spread); zero entries add nothing.
+    The decoder's tables on them read y by chunks and H*y by bytes."""
+    p, m, mul = ctx.p, ctx.m, ctx.mul
     spread = int if p == 2 or m == 1 else lambda x: _spread(x, p, m)
     shift = _width(p) * m
     units = [u for k in range((ctx.q - 1).bit_length()) if (u := base**k) < ctx.q]
     return [
-        [sum(spread(ctx.mul(h.at(i, j), u)) << shift * i for i in range(h.rows)) for u in units]
-        for j in range(h.cols)
+        [sum(spread(mul(x, u)) << shift * i for i, x in enumerate(col) if x) for u in units]
+        for col in list(zip(*rows)) or [()] * cols
     ]
 
 
@@ -299,9 +301,7 @@ def detects_single_burst(code, tau: int, cap: int | None = None) -> bool:
     windows = BurstSpace(code.n, tau).windows
     if isinstance(code, LinearCode):
         h = code.H.to_rows()
-        return all(
-            rank(Mat.from_rows(code.ctx, [row[w.start : w.stop] for row in h], cols=tau)) == tau for w in windows
-        )
+        return all(len(_echelon(code.ctx, [row[w.start : w.stop] for row in h], tau)[0]) == tau for w in windows)
     _caps.check("window deletion scan |C| * windows", code.size * len(windows), _caps.enum_cap(cap))
     return all(len(by_rest) == code.size for _, by_rest in _explicit_windows(code, tau, False))
 
@@ -312,46 +312,36 @@ def _column_tables(code):
     """(offsets, tabs, lanes, add, key), built once per scan: tabs[j][d]
     is the syndrome of digit d at position j under the scan's check, in
     lanes = rows*m base-p digit lanes (lane m*i + k holds digit k of row
-    i) of gf._width(p) bits, which add and key (gf._packing) read. A
-    linear code's check is H and offsets is [0]; an explicit code's is J,
-    which moves position j to row n-1-j, so tabs[j] shifts the digit's
-    lanes there, a sum packs, and offsets holds J*c for each codeword."""
+    i) of gf._width(p) bits, which add and key (gf._packing) read; tabs[j]
+    is gf._outer_table of _images of the check's column j. A linear code's
+    check is H and offsets is [0]; an explicit code's is J, which moves
+    position j to row n-1-j, and offsets holds J*c for each codeword."""
     ctx, n = code.ctx, code.n
     linear = isinstance(code, LinearCode)
     lanes = (code.r if linear else n) * ctx.m
     _, add, key = _packing(ctx.p, lanes)
-    if linear:
-        return [0], [_outer_table(add, images, ctx.p) for images in _images(ctx, code.H, ctx.p)], lanes, add, key
-    digits = [_spread(d, ctx.p, ctx.m) for d in range(ctx.q)]
-    tabs = [[x << _width(ctx.p) * ctx.m * (n - 1 - j) for x in digits] for j in range(n)]
-    return [sum(tab[x] for tab, x in zip(tabs, c)) for c in code.codewords], tabs, lanes, add, key
-
-
-def _pure_syndromes(tables, spans):
-    """The packed key of every (codeword, burst) pair in enumeration
-    order, from _column_tables' tables: the offsets for the zero burst,
-    then per anchored span the outer sum of its column tables and the
-    offsets, from the last column back; the first column takes nonzero
-    digits only."""
-    offsets, tabs, _, add, _ = tables
-    yield offsets
-    for start, width in spans:
-        acc = offsets
-        for tab in reversed(tabs[start + 1 : start + width]):
-            acc = [add(t, a) for t in tab for a in acc]
-        yield [add(t, a) for t in tabs[start][1:] for a in acc]
+    check = code.H.to_rows() if linear else [[int(i + j == n - 1) for j in range(n)] for i in range(n)]
+    tabs = [_outer_table(add, images, ctx.p) for images in _images(ctx, check, n, ctx.p)]
+    offsets = [0] if linear else [sum(tab[x] for tab, x in zip(tabs, c)) for c in code.codewords]
+    return offsets, tabs, lanes, add, key
 
 
 def _scan_pure(tables, spans):
-    """The pure-Python scan: (pairs, buckets, max bucket, its smallest
-    key). It counts packed syndromes and converts only the winner, with
-    _column_tables' key."""
+    """(pairs, buckets, max bucket, its smallest key), counting the packed
+    key of every (codeword, burst) pair in enumeration order: the offsets
+    for the zero burst, then per anchored span the outer sum of its column
+    tables (the anchor's nonzero digits only) and the offsets, from the
+    last column back. Only the winner is converted, with key."""
+    offsets, tabs, _, add, key = tables
     buckets: Counter[int] = Counter()
-    for syndromes in _pure_syndromes(tables, spans):
-        buckets.update(syndromes)
+    for start, width in [(0, 0), *spans]:  # the zero burst spans no column: its keys are the offsets
+        acc = offsets
+        for j in reversed(range(start, start + width)):  # the anchor column takes d != 0 only
+            acc = [add(t, a) for t in tabs[j][int(j == start) :] for a in acc]
+        buckets.update(acc)
     max_count = max(buckets.values())
     best = min(s for s, v in buckets.items() if v == max_count)
-    return sum(buckets.values()), len(buckets), max_count, tables[-1](best)
+    return sum(buckets.values()), len(buckets), max_count, key(best)
 
 
 def _runs(np, keys, block=1 << 16):
@@ -377,16 +367,18 @@ def _runs(np, keys, block=1 << 16):
 
 
 def _scan_numpy(ctx, tables, spans):
-    """The same result as _scan_pure from _pure_syndromes' recursion on
-    int64 arrays; None when numpy is missing or a key would not fit in
-    int64 (q^rows >= 2^63).
+    """_scan_pure's result by the same recursion on int64 arrays; None
+    when numpy is missing or a key would not fit in int64 (q^rows >= 2^63).
 
     The packed lanes are split into k words of 63 // w lanes. For k = 1
-    the word sorts as the key does and only the winner is converted; for
-    k > 1 each span's grid is turned into the key sum(digit * p^lane)
-    before it is stored. The keys are stored as uint32 when k = 1 and
-    the w * lanes bits fit in 32, else as int64, then sorted in place
-    and counted by _runs a block at a time.
+    the word sorts as the key does and only the winner is converted. For
+    k > 1 each grid is read into the key sum(digit * p^lane) as the
+    decoder reads H*y: one table per byte of each word, built by _tables,
+    in which bit b of lane j stands for 2^b * p^j. Entries past 2^64 wrap,
+    and so do the uint64 sums, which is exact as a key is below 2^63. The
+    keys are stored as uint32 when k = 1 and the w * lanes bits fit in 32,
+    else as int64, then sorted in place and counted by _runs a block at a
+    time.
     """
     offsets, tabs, lanes, _, key = tables
     p, q, w = ctx.p, ctx.q, _width(ctx.p)
@@ -403,25 +395,25 @@ def _scan_numpy(ctx, tables, spans):
     def split(packed, mask=(1 << w * per) - 1):
         return [np.array([t >> (w * per * i) & mask for t in packed], dtype=np.int64) for i in range(k)]
 
-    def keys_of(words):
-        if k == 1:
-            return words[0]
-        grid = np.zeros_like(words[0])
-        for lane in reversed(range(lanes)):
-            grid = grid * p + (words[lane // per] >> (w * (lane % per)) & (1 << w) - 1)
-        return grid
+    def reader(first):  # the byte tables of the word that starts at lane first
+        images = [p**j << b for j in range(first, min(first + per, lanes)) for b in range(w)]
+        return [np.array([x & (1 << 64) - 1 for x in t], np.uint64) for t in _tables(operator.add, images, 2)[0]]
+
+    readers = [reader(first) for first in range(0, lanes, per)] if k > 1 else []
 
     offsets, tabs = split(offsets), [split(tab) for tab in tabs]
     size = offsets[0].size
     dtype = np.uint32 if k == 1 and w * lanes <= 32 else np.int64
     keys = np.empty(size * (1 + sum((q - 1) * q ** (width - 1) for _, width in spans)), dtype=dtype)
-    keys[:size] = keys_of(offsets)  # the zero burst
-    at = size
-    for start, width in spans:
+    at = 0
+    for start, width in [(0, 0), *spans]:  # the zero burst spans no column: its grid is the offsets
         acc = offsets
         for j in reversed(range(start, start + width)):  # the anchor column takes d != 0 only
             acc = [add(t[int(j == start) :, None], a).ravel() for t, a in zip(tabs[j], acc)]
-        grid = keys_of(acc)
+        grid = acc[0] if k == 1 else np.zeros(acc[0].size, dtype=np.uint64)
+        for word, byte_tabs in zip(acc, readers):  # k > 1 only
+            for c, tab in enumerate(byte_tabs):
+                grid += tab[word >> 8 * c & 255]
         keys[at : at + grid.size] = grid
         at += grid.size
     if at != keys.size:

@@ -280,6 +280,7 @@ def _without(d, key):
 ROWS = "error: H entries must be given as a list of rows"
 SCALARS = "error: code file 'n' must be an integer and 'meta' an object"
 FIELD_SCALARS = "error: field 'p' and 'm' must be integers and 'modulus' a list of integers"
+MODULUS = "error: modulus must be monic of degree m"
 
 
 @pytest.mark.parametrize(
@@ -304,10 +305,20 @@ FIELD_SCALARS = "error: field 'p' and 'm' must be integers and 'modulus' a list 
             lambda d: {**d, "field": {**d["field"], "m": 10_000_000}},
             "error: field size 7^10000000 exceeds the cap 1048576",
         ),
+        (lambda d: {**d, "kind": "foo"}, "error: unknown code kind 'foo'"),
+        (lambda d: d.update(G=[[1] * 6] * 3), "error: generator matrix does not have full row rank"),
+        (
+            lambda d: d.update(G=[[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]]),
+            "error: generator and parity-check ranks disagree",
+        ),
+        # GF(9) files whose modulus has degree 3, or leading coefficient 2
+        (lambda d: {**d, "field": {"p": 3, "m": 2, "modulus": [2, 0, 0, 1]}}, MODULUS),
+        (lambda d: {**d, "field": {"p": 3, "m": 2, "modulus": [2, 0, 2]}}, MODULUS),
     ],
     ids=[
         "no-kind", "no-n", "no-field", "no-H", "field-no-m", "H-5", "H-flat-row", "list",
         "meta-5", "n-null", "field-p-null", "field-modulus-5", "field-m-huge",
+        "kind-foo", "G-rank-deficient", "G-rows-not-n-minus-r", "gf9-modulus-degree-3", "gf9-modulus-not-monic",
     ],
 )
 def test_malformed_code_files_are_usage_errors(capsys, tmp_path, edit, message):
@@ -429,6 +440,7 @@ BOUNDS = ["bounds", "--q", "3", "--n", "4", "--tau", "2", "--size", "4"]
         (["decode", "--y", "1,2,3", "--tau", "2"], "either --code or --construct is required"),
         (["certify", "--construct", "rs", "--q", "7", "--tau", "2", "--ell", "1"], "rs construction needs --n and --r"),
         (["decode", *RS7, "--y", "1,2,3,4,5,6", "--tau", "2", "--ell", "0"], "the list size bound must be at least 1"),
+        (["certify", *RS7, "--tau", "2", "--ell", "0"], "the list size bound must be at least 1"),
         (["decode", *RS7, "--y", "1,2,3,4,5,6", "--tau", "2", "--ell", "-1"], "the list size bound must be at least 1"),
         # a flag that is present is used as given, even when it is 0
         (["reproduce", "example1", "--q", "0"], "0 is not a prime power"),
@@ -450,7 +462,7 @@ BOUNDS = ["bounds", "--q", "3", "--n", "4", "--tau", "2", "--size", "4"]
         "bounds-q1", "bounds-n-minus-4", "lemma_Mell-n-minus-4", "general_ell2-ell-minus-5",
         "no_detection_ell2-ell-minus-5", "lemma_Mell-ell-minus-5", "tau-0", "count-q-minus-3", "count-q1", "no-q",
         "certify-no-code", "decode-no-code",
-        "rs-no-n-r", "decode-ell-0", "decode-ell-minus-1",
+        "rs-no-n-r", "decode-ell-0", "certify-ell-0", "decode-ell-minus-1",
         "reproduce-example1-q0", "reproduce-rs_grid-q0", "reproduce-rs_grid-n0", "reproduce-rs_grid-n2",
         "reproduce-count-minus-5", "reproduce-samples-0",
         "y-empty-entry", "y-trailing-comma", "mu-empty-entry", "beta-empty-entry", "stars-empty-entry",

@@ -154,6 +154,8 @@ def test_linear_code_validation(fields):
         LinearCode(f2, 4, good_h, bad_g)
     with pytest.raises(ValueError, match="^parity-check width does not match the length$"):
         LinearCode(f2, 5, good_h)
+    with pytest.raises(ValueError, match="^generator width does not match the length$"):
+        LinearCode(f2, 4, good_h, Mat.from_rows(f2, [[1, 1, 0, 0, 0], [0, 1, 1, 0, 0], [0, 0, 1, 1, 0]]))
 
 
 def test_explicit_code_dedup_and_redundancy(fields):

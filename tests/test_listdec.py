@@ -773,19 +773,22 @@ def paired_words_code(ctx, n):
         (27, 13, 8, 3, True, "rs", 2, "int64"),
         (1009, 8, 6, 1, False, "rs", 2, "int64"),
         (81, 12, 6, 2, False, "twice", 2, "int64"),
+        (5, 28, 27, 1, False, "twice", 2, "int64"),
         (5, 4, None, 2, False, "ex1", 1, "uint32"),
         (7, 6, 3, 2, True, "expanded", 1, "uint32"),
         (1009, 6, None, 1, False, "random", 2, "int64"),
     ],
     ids=[
         "gf8-phased", "gf7", "gf9", "gf11-r5-tau4", "gf25-r5-tau3", "gf81-r6", "gf27-r8-phased", "gf1009-r6",
-        "gf81-repeated-columns", "ex1-gf5", "expanded-rs7-phased", "random-gf1009-n6",
+        "gf81-repeated-columns", "gf5-r27", "ex1-gf5", "expanded-rs7-phased", "random-gf1009-n6",
     ],
 )
 def test_numpy_scan_matches_pure(monkeypatch, q, n, r, tau, phased, h, k, dtype):
     """The kernel on one int64 word (k = 1) and on k > 1 words, whose
-    grids it turns into dense keys; "twice" is H = [I | I], whose
-    buckets hold the bursts at j and j + r together. The explicit codes
+    grids it reads into dense keys a byte at a time; "twice" is
+    H = [I | I], whose buckets hold the bursts at j and j + r together.
+    GF(5) at r = 27 keeps 5^27 < 2^63, but its top byte tables hold
+    entries past 2^64, which wrap as the key sums do. The explicit codes
     key by the n x n exchange check, so GF(1009) at n = 6 has six lanes
     of 11 bits, one more than an int64 word holds. Keys of at most 32
     bits are stored as uint32; GF(25) at r = 5 packs ten 4-bit lanes, so
