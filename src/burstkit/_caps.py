@@ -1,9 +1,9 @@
 """Enumeration caps.
 
 Every exhaustive scan in the library is guarded by an explicit cap and
-fails hard with CapExceeded; there is no silent truncation. Defaults can
-be overridden per call or through environment variables, whose values
-parse() requires to be non-negative integers:
+fails hard with CapExceeded; there is no silent truncation. DEFAULTS is
+the one place the cap kinds and defaults are set; limit() lets a per-call
+cap or BURSTKIT_CAP_<kind> (a non-negative integer, see parse) override:
 
     BURSTKIT_CAP_ENUM       words / pairs visited by an exhaustive scan
     BURSTKIT_CAP_SOLUTIONS  affine solution sets enumerated per window
@@ -14,16 +14,18 @@ from __future__ import annotations
 
 import os
 
-DEFAULT_ENUM = 1 << 26
-DEFAULT_SOLUTIONS = 1 << 16
-DEFAULT_CODEWORDS = 1 << 16
+DEFAULTS = {"ENUM": 1 << 26, "SOLUTIONS": 1 << 16, "CODEWORDS": 1 << 16}
 
 
 class CapExceeded(RuntimeError):
     """An exhaustive enumeration would exceed its configured cap."""
 
     def __init__(self, what: str, needed: int, cap: int):
-        super().__init__(f"{what} needs {needed} > cap {cap}")
+        try:
+            shown = str(needed)
+        except ValueError:  # past CPython's 4,300-digit limit: the largest power of two not above it
+            shown = f"at least 2^{needed.bit_length() - 1}"
+        super().__init__(f"{what} needs {shown} > cap {cap}")
         self.what = what
         self.needed = needed
         self.cap = cap
@@ -36,27 +38,16 @@ def parse(name: str, raw: str) -> int:
     return int(raw)
 
 
-def _env(name: str, default: int) -> int:
+def limit(kind: str, cap: int | None = None) -> int:
+    """The cap of this kind: the per-call cap, else BURSTKIT_CAP_<kind>, else the default."""
+    if cap is not None:
+        return cap
+    name = f"BURSTKIT_CAP_{kind}"
     raw = os.environ.get(name)
-    return default if raw is None else parse(name, raw)
+    return DEFAULTS[kind] if raw is None else parse(name, raw)
 
 
-def enum_cap(override: int | None = None) -> int:
-    return override if override is not None else _env("BURSTKIT_CAP_ENUM", DEFAULT_ENUM)
-
-
-def solutions_cap(override: int | None = None) -> int:
-    return override if override is not None else _env(
-        "BURSTKIT_CAP_SOLUTIONS", DEFAULT_SOLUTIONS
-    )
-
-
-def codewords_cap(override: int | None = None) -> int:
-    return override if override is not None else _env(
-        "BURSTKIT_CAP_CODEWORDS", DEFAULT_CODEWORDS
-    )
-
-
-def check(what: str, needed: int, cap: int) -> None:
-    if needed > cap:
+def check(what: str, needed: int, kind: str, cap: int | None = None) -> None:
+    """Refuse the scan when needed exceeds the cap of this kind."""
+    if needed > (cap := limit(kind, cap)):
         raise CapExceeded(what, needed, cap)

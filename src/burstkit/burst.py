@@ -132,8 +132,7 @@ def anchored_spans(space: BurstSpace):
 def enumerate_bursts(ctx: FieldCtx, space: BurstSpace, cap: int | None = None):
     """Yield every burst word exactly once: zero first, then by
     (first-nonzero index, payload lex)."""
-    limit = _caps.enum_cap(cap)
-    _caps.check("burst enumeration q^tau * n", ctx.q ** space.tau * space.n, limit)
+    _caps.check("burst enumeration q^tau * n", ctx.q ** space.tau * space.n, "ENUM", cap)
     n = space.n
     q = ctx.q
     yield (0,) * n

@@ -69,8 +69,7 @@ class LinearCode:
 
     def codewords(self, cap: int | None = None):
         """Iterate all q^k codewords (guarded by the codeword cap)."""
-        limit = _caps.codewords_cap(cap)
-        _caps.check("codeword expansion q^k", self.size, limit)
+        _caps.check("codeword expansion q^k", self.size, "CODEWORDS", cap)
         return iter(span_members(self.ctx, (0,) * self.n, self.generator_matrix().to_rows()))
 
 
@@ -141,8 +140,7 @@ def expand(code, cap: int | None = None) -> ExplicitCode:
 
 def is_group_code(code: ExplicitCode, cap: int | None = None) -> bool:
     """True iff the codeword set is closed under subtraction."""
-    limit = _caps.enum_cap(cap)
-    _caps.check("pairwise closure scan |C|^2", code.size**2, limit)
+    _caps.check("pairwise closure scan |C|^2", code.size**2, "ENUM", cap)
     ctx = code.ctx
     words = set(code.codewords)
     for c1 in code.codewords:

@@ -332,7 +332,9 @@ class FieldCtx:
         if modulus is None:
             modulus = _find_modulus(p, m)
         else:
-            modulus = tuple(int(c) % p for c in modulus)
+            modulus = tuple(map(int, modulus))
+            if not all(0 <= c < p for c in modulus):
+                raise ValueError(f"modulus {list(modulus)} has a coefficient outside GF({p})")
             if len(modulus) != m + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree m")
             if not _is_irreducible(modulus, p):

@@ -128,7 +128,7 @@ def decode(code, y, tau: int, phased: bool = False, cap: int | None = None) -> L
 
 def _decode_linear(code: LinearCode, y: Word, tau: int, space: BurstSpace, cap) -> ListDecodeResult:
     ctx = code.ctx
-    limit = _caps.solutions_cap(cap)
+    limit = _caps.limit("SOLUTIONS", cap)
     radix, cols, rows, add_s, add, lane, index, windows = _linear_decoder(code, tau, space.phased)
     s = _apply(cols, radix, add_s, y)  # H*y as packed lanes
     z = _apply([rows], 256, add, [s])  # E_all*H*y, a byte of H*y per table
@@ -141,7 +141,7 @@ def _decode_linear(code: LinearCode, y: Word, tau: int, space: BurstSpace, cap) 
         particular = [0] * len(win)
         for c, at in zip(pivots, offsets):
             particular[c] = index(z >> at & lane)
-        _caps.check("window solution set q^b", ctx.q ** len(basis), limit)
+        _caps.check("window solution set q^b", ctx.q ** len(basis), "SOLUTIONS", limit)
         members = span_members(ctx, particular, basis)
         for ew in members:
             c = y[: win.start] + tuple(map(ctx.sub, y[win.start : win.stop], ew)) + y[win.stop :]
@@ -154,7 +154,7 @@ def _decode_linear(code: LinearCode, y: Word, tau: int, space: BurstSpace, cap) 
 
 def _decode_explicit(code: ExplicitCode, y: Word, tau: int, space: BurstSpace, cap) -> ListDecodeResult:
     ctx = code.ctx
-    _caps.check("explicit codeword scan", code.size, _caps.codewords_cap(cap))
+    _caps.check("explicit codeword scan", code.size, "CODEWORDS", cap)
     found: dict[Word, BurstPattern] = {}
     stats: dict[int, int] = {}
     for win, by_rest in _explicit_windows(code, tau, space.phased):
@@ -302,7 +302,7 @@ def detects_single_burst(code, tau: int, cap: int | None = None) -> bool:
     if isinstance(code, LinearCode):
         h = code.H.to_rows()
         return all(len(_echelon(code.ctx, [row[w.start : w.stop] for row in h], tau)[0]) == tau for w in windows)
-    _caps.check("window deletion scan |C| * windows", code.size * len(windows), _caps.enum_cap(cap))
+    _caps.check("window deletion scan |C| * windows", code.size * len(windows), "ENUM", cap)
     return all(len(by_rest) == code.size for _, by_rest in _explicit_windows(code, tau, False))
 
 
@@ -441,15 +441,15 @@ def max_list_size(
     code = _as_code(code)
     ctx = code.ctx
     space = BurstSpace(code.n, tau, phased)
-    limit = _caps.enum_cap(cap)
+    limit = _caps.limit("ENUM", cap)
     n_bursts = space.count(ctx.q)
     linear = isinstance(code, LinearCode)
     if linear:
-        _caps.check("burst bucketing q^tau * n", ctx.q**tau * code.n, limit)
+        _caps.check("burst bucketing q^tau * n", ctx.q**tau * code.n, "ENUM", limit)
         work = {"bursts": n_bursts, "windows": len(space.windows)}
     else:
-        _caps.check("sum bucketing |C| * V", code.size * n_bursts, limit)
-        _caps.check("burst enumeration q^tau * n", ctx.q**tau * code.n, limit)
+        _caps.check("sum bucketing |C| * V", code.size * n_bursts, "ENUM", limit)
+        _caps.check("burst enumeration q^tau * n", ctx.q**tau * code.n, "ENUM", limit)
         work = {"bursts": n_bursts, "pairs": code.size * n_bursts}
     spans = list(anchored_spans(space))
     tables = _column_tables(code)

@@ -165,16 +165,6 @@ def test_cap_exceeded_exit(capsys):
     assert code == 4
 
 
-def test_cap_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("BURSTKIT_CAP_ENUM", "100")
-    code, _ = run_cli(
-        capsys,
-        "certify", "--construct", "rs", "--q", "7", "--n", "6", "--r", "2",
-        "--tau", "2", "--ell", "1",
-    )
-    assert code == 4
-
-
 def test_resultant_field_flag_and_mode_aliases(capsys):
     code, payload = run_cli(
         capsys,
@@ -281,6 +271,7 @@ ROWS = "error: H entries must be given as a list of rows"
 SCALARS = "error: code file 'n' must be an integer and 'meta' an object"
 FIELD_SCALARS = "error: field 'p' and 'm' must be integers and 'modulus' a list of integers"
 MODULUS = "error: modulus must be monic of degree m"
+MODULUS_RANGE = "error: modulus {} has a coefficient outside GF(3)"
 
 
 @pytest.mark.parametrize(
@@ -314,11 +305,16 @@ MODULUS = "error: modulus must be monic of degree m"
         # GF(9) files whose modulus has degree 3, or leading coefficient 2
         (lambda d: {**d, "field": {"p": 3, "m": 2, "modulus": [2, 0, 0, 1]}}, MODULUS),
         (lambda d: {**d, "field": {"p": 3, "m": 2, "modulus": [2, 0, 2]}}, MODULUS),
+        # GF(9) files whose modulus reads as x^2 + 1 only once reduced mod 3
+        (lambda d: {**d, "field": {"p": 3, "m": 2, "modulus": [4, 0, 1]}}, MODULUS_RANGE.format("[4, 0, 1]")),
+        (lambda d: {**d, "field": {"p": 3, "m": 2, "modulus": [-2, 0, 1]}}, MODULUS_RANGE.format("[-2, 0, 1]")),
+        (lambda d: {**d, "field": {"p": 3, "m": 2, "modulus": [1, 0, 4]}}, MODULUS_RANGE.format("[1, 0, 4]")),
     ],
     ids=[
         "no-kind", "no-n", "no-field", "no-H", "field-no-m", "H-5", "H-flat-row", "list",
         "meta-5", "n-null", "field-p-null", "field-modulus-5", "field-m-huge",
         "kind-foo", "G-rank-deficient", "G-rows-not-n-minus-r", "gf9-modulus-degree-3", "gf9-modulus-not-monic",
+        "gf9-modulus-4", "gf9-modulus-minus-2", "gf9-modulus-leading-4",
     ],
 )
 def test_malformed_code_files_are_usage_errors(capsys, tmp_path, edit, message):
@@ -481,10 +477,62 @@ def test_stars_left_out_mean_six_zeros(capsys):
     assert code == 0 and (0, left_out) == run_cli(capsys, *argv, "--stars", "0,0,0,0,0,0")
 
 
+# one scan of each cap kind: a value of BURSTKIT_CAP_<kind> that refuses it,
+# and the refusal
+CAP_KINDS = {
+    "ENUM": ("100", ["certify", *RS7, "--tau", "2", "--ell", "1"], "burst bucketing q^tau * n needs 294 > cap 100"),
+    "SOLUTIONS": ("0", ["decode", *RS7, "--tau", "2", "--y", "1,2,3,4,5,6"], "window solution set q^b needs 1 > cap 0"),
+    "CODEWORDS": (
+        "1",
+        ["decode", "--construct", "ex1", "--q", "5", "--tau", "2", "--y", "0,0,0,0"],
+        "explicit codeword scan needs 8 > cap 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", CAP_KINDS)
+def test_cap_env_override(capsys, monkeypatch, kind):
+    raw, argv, message = CAP_KINDS[kind]
+    monkeypatch.setenv(f"BURSTKIT_CAP_{kind}", raw)
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"cap exceeded: {message}\n"
+
+
+@pytest.mark.parametrize("kind", CAP_KINDS)
 @pytest.mark.parametrize("raw", ["-5", "abc"])
-def test_cap_variable_must_be_a_non_negative_integer(capsys, monkeypatch, raw):
-    monkeypatch.setenv("BURSTKIT_CAP_ENUM", raw)
-    assert main(["certify", *RS7, "--tau", "2", "--ell", "1"]) == 2
+def test_cap_variable_must_be_a_non_negative_integer(capsys, monkeypatch, raw, kind):
+    monkeypatch.setenv(f"BURSTKIT_CAP_{kind}", raw)
+    assert main(CAP_KINDS[kind][1]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: BURSTKIT_CAP_ENUM must be a non-negative integer, got {raw!r}\n"
+    assert captured.err == f"error: BURSTKIT_CAP_{kind} must be a non-negative integer, got {raw!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ["certify", "--construct", "rs", "--q", "64", "--n", "63", "--r", "6", "--tau", "4", "--ell", "2"],
+            "burst bucketing q^tau * n needs 1056964608 > cap 67108864",
+        ),
+        (
+            ["decode", "--construct", "rs", "--q", "17", "--n", "16", "--r", "0", "--tau", "4", "--y", ",".join("0" * 16)],
+            "window solution set q^b needs 83521 > cap 65536",
+        ),
+        # q^tau * n passes 4,300 digits, which str() refuses to print
+        (
+            ["certify", "--construct", "rs", "--q", "65536", "--n", "1285", "--r", "2", "--tau", "1285", "--ell", "1"],
+            "burst bucketing q^tau * n needs at least 2^20570 > cap 67108864",
+        ),
+    ],
+    ids=["ENUM", "SOLUTIONS", "ENUM-unprintable"],
+)
+def test_default_caps(capsys, monkeypatch, argv, message):
+    """With no BURSTKIT_CAP_* set, each scan is refused at its kind's
+    default before it starts."""
+    for kind in CAP_KINDS:
+        monkeypatch.delenv(f"BURSTKIT_CAP_{kind}", raising=False)
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"cap exceeded: {message}\n"

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from burstkit import (
+    CapExceeded,
     CodeHandle,
     ExplicitCode,
     LinearCode,
@@ -195,3 +196,18 @@ def test_expand_matches_syndrome_membership(fields):
     assert explicit.size == code.size == 7**3
     for w in explicit.codewords:
         assert code.contains(w)
+
+
+def test_codeword_cap_default(fields, monkeypatch):
+    monkeypatch.delenv("BURSTKIT_CAP_CODEWORDS", raising=False)
+    with pytest.raises(CapExceeded, match=r"^codeword expansion q\^k needs 83521 > cap 65536$"):
+        expand(rs_code(fields[17], 16, 12))
+
+
+def test_cap_exceeded_by_an_unprintable_count(fields):
+    """q^k = 2^14999 has 4,516 digits, past what str() prints: the
+    message gives the power of two at or below the count instead."""
+    code = LinearCode(fields[2], 15000, Mat.from_rows(fields[2], [[1] * 15000], cols=15000))
+    with pytest.raises(CapExceeded, match=r"^codeword expansion q\^k needs at least 2\^14999 > cap 65536$") as info:
+        code.codewords()
+    assert info.value.needed == 2**14999

@@ -4,6 +4,7 @@ import math
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 
@@ -196,6 +197,14 @@ def test_field_new_rejects_bad_parameters():
 def test_reducible_modulus_rejected():
     with pytest.raises(ValueError):
         FieldCtx(2, 4, (1, 0, 0, 0, 1))  # x^4 + 1 = (x+1)^4
+
+
+@pytest.mark.parametrize("modulus", [(1, 0, 4), (4, 0, 1), (-2, 0, 1)], ids=["leading-4", "constant-4", "constant-minus-2"])
+def test_modulus_coefficients_outside_the_prime_field_refused(modulus):
+    """Each reads as x^2 + 1 once reduced mod 3, and each is refused."""
+    message = f"modulus {list(modulus)} has a coefficient outside GF(3)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        FieldCtx(3, 2, modulus)
 
 
 SMALL_DEGREES = [(2, m) for m in range(1, 9)] + [(3, m) for m in range(1, 6)]

@@ -382,7 +382,7 @@ def solve_affine_decode(code, y, tau, phased=False, cap=None):
     """The linear decoder without window tables: one solve_affine of the
     window's columns of H against the syndrome, per window and word."""
     ctx = code.ctx
-    limit = _caps.solutions_cap(cap)
+    limit = _caps.limit("SOLUTIONS", cap)
     syn = list(code.syndrome(y))
     found, stats = {}, {}
     for win in BurstSpace(code.n, tau, phased).windows:
@@ -391,7 +391,7 @@ def solve_affine_decode(code, y, tau, phased=False, cap=None):
             stats[win.start] = 0
             continue
         particular, basis = sol
-        _caps.check("window solution set q^b", ctx.q ** len(basis), limit)
+        _caps.check("window solution set q^b", ctx.q ** len(basis), "SOLUTIONS", limit)
         members = span_members(ctx, particular, basis)
         for ew in members:
             e = (0,) * win.start + ew + (0,) * (code.n - win.stop)
@@ -406,7 +406,7 @@ def codeword_scan_decode(code, y, tau, phased=False, cap=None):
     """The explicit decoder without window tables: y minus every codeword,
     kept when the difference fits a window."""
     ctx = code.ctx
-    _caps.check("explicit codeword scan", code.size, _caps.codewords_cap(cap))
+    _caps.check("explicit codeword scan", code.size, "CODEWORDS", cap)
     windows = BurstSpace(code.n, tau, phased).windows
     found, stats = {}, {win.start: 0 for win in windows}
     for c in code.codewords:
@@ -777,16 +777,20 @@ def paired_words_code(ctx, n):
         (5, 4, None, 2, False, "ex1", 1, "uint32"),
         (7, 6, 3, 2, True, "expanded", 1, "uint32"),
         (1009, 6, None, 1, False, "random", 2, "int64"),
+        (1009, 12, 6, 1, False, "twice", 2, "int64"),
     ],
     ids=[
         "gf8-phased", "gf7", "gf9", "gf11-r5-tau4", "gf25-r5-tau3", "gf81-r6", "gf27-r8-phased", "gf1009-r6",
         "gf81-repeated-columns", "gf5-r27", "ex1-gf5", "expanded-rs7-phased", "random-gf1009-n6",
+        "gf1009-repeated-columns",
     ],
 )
 def test_numpy_scan_matches_pure(monkeypatch, q, n, r, tau, phased, h, k, dtype):
     """The kernel on one int64 word (k = 1) and on k > 1 words, whose
     grids it reads into dense keys a byte at a time; "twice" is
     H = [I | I], whose buckets hold the bursts at j and j + r together.
+    Over GF(1009) its six 11-bit lanes take two words, and its largest
+    buckets have nonzero keys, which gf1009-r6's one-burst buckets lack.
     GF(5) at r = 27 keeps 5^27 < 2^63, but its top byte tables hold
     entries past 2^64, which wrap as the key sums do. The explicit codes
     key by the n x n exchange check, so GF(1009) at n = 6 has six lanes
