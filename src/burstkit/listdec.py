@@ -24,16 +24,30 @@ bucket holds the pairs summing to one word, one offset per codeword.
 The scan packs a syndrome's rows*m base-p digit lanes (lane m*i + k
 holds digit k of row i) into integers, adds them lane-wise mod p with
 the lane add the field build uses (gf._packing), and counts the keys.
-The pure-Python scan holds each syndrome in one int, counts it in a
-Counter, and is the fallback and the reference the tests compare
-against. When numpy is importable the same recursion runs on int64
-words. Its keys are stored as uint32 when one word of w * lanes <= 32
-bits holds them, else as int64, sorted in place and counted 2^16 at a
-time, so the scan holds 4 or 8 bytes per key and no copy of them. The
-scan only counts: the refutation witness comes from decode, run on the
-worst word y, whose syndrome is the smallest key of the largest bucket
-(J puts position 0 in the top row, so for an explicit code y is the
-smallest word of the largest sum bucket).
+A key is sum(digit * p^lane): its base-q digits are the rows' element
+indices, and keys compare the top row first. The pure-Python scan holds
+each syndrome in one int, counts it in a Counter, and is the fallback
+and the reference the tests compare against. When numpy is importable
+the same recursion runs on int64 words, and its keys are sorted in
+place and counted 2^16 at a time, so the scan holds 4 or 8 bytes per
+key and no copy of them.
+
+For a linear code the numpy scan counts scaling classes. A nonzero
+burst is d*e1, with d its anchor digit and e1 the same burst with
+anchor digit 1, and H(d*e1) = d*H*e1; so a nonzero syndrome S has
+mult(S) = #{e1 : H*e1 in F*S} bursts, the same for each of the q - 1
+members of its class F*S. The scan builds only the N1 = (bursts-1)/(q-1)
+anchor-1 bursts and keys each by its class's smallest member: the
+syndrome scaled so that its top nonzero row is 1. With z zero keys
+among them and C nonzero classes, the multiset is rebuilt exactly:
+1 + (q-1)*N1 pairs, 1 + (q-1)*C buckets, and a largest bucket of
+max(1 + (q-1)*z, largest class), whose smallest key is 0 when the zero
+bucket is among the largest and else the smallest key of a tied class.
+An explicit code's offsets J*c do not scale, so its scan counts every
+pair. The scan only counts: the refutation witness comes from decode,
+run on the worst word y, whose syndrome is the smallest key of the
+largest bucket (J puts position 0 in the top row, so for an explicit
+code y is the smallest word of the largest sum bucket).
 
 Detection is tested window by window: a nonzero tau-burst difference of
 two codewords lies inside some window of tau consecutive positions. A
@@ -366,19 +380,82 @@ def _runs(np, keys, block=1 << 16):
     return distinct, best, best_key
 
 
+def _blocks(np, grids, block=1 << 12):
+    """The grids' keys (k word arrays per grid) in runs of at most block
+    keys: small grids are joined, so that numpy's per-call cost is paid
+    once a run, and large ones are cut, so that a run's temporaries stay
+    in cache."""
+    batch, size = [], 0
+    for acc in grids:
+        batch.append(acc)
+        size += acc[0].size
+        if size >= block:
+            words = [np.concatenate(ws) if len(ws) > 1 else ws[0] for ws in zip(*batch)]
+            yield from ([w[lo : lo + block] for w in words] for lo in range(0, size, block))
+            batch, size = [], 0
+    if batch:
+        yield [np.concatenate(ws) for ws in zip(*batch)]
+
+
+def _row_keys(np, ctx, rows, per, scale):
+    """The map from a grid (its k int64 words) to dense keys
+    sum(row_i * q^i), each row's element index read from its m lanes.
+    With scale, each nonzero syndrome S is first scaled by the inverse of
+    its top nonzero row, which gives the smallest key of its class F*S,
+    as keys compare the top row first; 0 stays 0. The scaling adds logs,
+    from tables of O(q) entries, in which a zero row has log 2(q-1) and
+    so reads exp's zero tail."""
+    p, q, m, w = ctx.p, ctx.q, ctx.m, _width(ctx.p)
+    top = q - 1
+    if scale:
+        log = np.array(ctx._log, np.int64)
+        log[0] = 2 * top
+        exp = np.array(ctx._exp * 2 + [0] * (top + 1), np.int64)
+
+    def lane(acc, j, count=1):  # lanes j .. j + count - 1, read as one field
+        return acc[j // per] >> w * (j % per) & (1 << w * count) - 1
+
+    def element(acc, i):
+        if p == 2:  # the row's m one-bit lanes are its index
+            return lane(acc, m * i, m)
+        x = 0
+        for j in reversed(range(m * i, m * i + m)):
+            x = x * p + lane(acc, j)
+        return x
+
+    def convert(acc):
+        row = [element(acc, i) for i in range(rows)]
+        if scale:
+            logs = [log[x] for x in row]
+            lead = np.zeros_like(acc[0])
+            for lg in logs:  # the top nonzero row's log is the last one written
+                lead = np.where(lg < top, lg, lead)
+            shift = top - lead
+            row = [exp[lg + shift] for lg in logs]
+        key = np.zeros_like(acc[0])
+        for x in reversed(row):
+            key = key * q + x
+        return key
+
+    return convert
+
+
 def _scan_numpy(ctx, tables, spans):
     """_scan_pure's result by the same recursion on int64 arrays; None
     when numpy is missing or a key would not fit in int64 (q^rows >= 2^63).
 
-    The packed lanes are split into k words of 63 // w lanes. For k = 1
-    the word sorts as the key does and only the winner is converted. For
-    k > 1 each grid is read into the key sum(digit * p^lane) as the
-    decoder reads H*y: one table per byte of each word, built by _tables,
-    in which bit b of lane j stands for 2^b * p^j. Entries past 2^64 wrap,
-    and so do the uint64 sums, which is exact as a key is below 2^63. The
-    keys are stored as uint32 when k = 1 and the w * lanes bits fit in 32,
-    else as int64, then sorted in place and counted by _runs a block at a
-    time.
+    The packed lanes are split into k words of 63 // w lanes, and the
+    span grids are mapped to keys a block at a time (_blocks). A linear
+    scan (offsets [0]) builds only the bursts whose anchor digit is 1 and
+    keys each by its scaling class (_row_keys; see the module notes): a
+    sorted run of c keys stands for q - 1 buckets of c bursts, and the z
+    zero keys for one bucket of 1 + (q-1) * z with the zero burst. Its
+    keys are stored as uint32 when q^rows <= 2^32, else as int64. An
+    explicit scan takes every anchor digit and every offset. For k = 1
+    its word sorts as the key does, and only the winner is converted; it
+    is stored as uint32 when its w * lanes bits fit in 32. For k > 1 each
+    grid is read into dense int64 keys (_row_keys). Either way the keys
+    are sorted in place and counted by _runs a block at a time.
     """
     offsets, tabs, lanes, _, key = tables
     p, q, w = ctx.p, ctx.q, _width(ctx.p)
@@ -391,36 +468,51 @@ def _scan_numpy(ctx, tables, spans):
     per = 63 // w
     add = _packing(p, per)[1]
     k = max(1, -(-lanes // per))
+    linear, rows = offsets == [0], lanes // ctx.m
+    # anchor: the digits of a span's first column, 1 alone in a linear scan
+    if linear:  # the zero burst is counted apart
+        anchor = slice(1, 2)
+        dtype = np.uint32 if q**rows <= 1 << 32 else np.int64
+        size = sum(q ** (width - 1) for _, width in spans)
+    else:  # the zero burst spans no column: its grid is the offsets
+        anchor = slice(1, None)
+        dtype = np.uint32 if k == 1 and w * lanes <= 32 else np.int64
+        size = len(offsets) * (1 + sum((q - 1) * q ** (width - 1) for _, width in spans))
+        spans = [(0, 0), *spans]
 
     def split(packed, mask=(1 << w * per) - 1):
         return [np.array([t >> (w * per * i) & mask for t in packed], dtype=np.int64) for i in range(k)]
 
-    def reader(first):  # the byte tables of the word that starts at lane first
-        images = [p**j << b for j in range(first, min(first + per, lanes)) for b in range(w)]
-        return [np.array([x & (1 << 64) - 1 for x in t], np.uint64) for t in _tables(operator.add, images, 2)[0]]
-
-    readers = [reader(first) for first in range(0, lanes, per)] if k > 1 else []
-
     offsets, tabs = split(offsets), [split(tab) for tab in tabs]
-    size = offsets[0].size
-    dtype = np.uint32 if k == 1 and w * lanes <= 32 else np.int64
-    keys = np.empty(size * (1 + sum((q - 1) * q ** (width - 1) for _, width in spans)), dtype=dtype)
+
+    def grids():
+        for start, width in spans:
+            acc = offsets
+            for j in reversed(range(start, start + width)):
+                acc = [add(t[anchor if j == start else slice(None), None], a).ravel() for t, a in zip(tabs[j], acc)]
+            yield acc
+
+    # a k = 1 word sorts as its dense key does; over GF(2) it is that key,
+    # and scaling is the identity
+    if k > 1 or linear and q > 2:
+        stored = map(_row_keys(np, ctx, rows, per, linear), _blocks(np, grids()))
+    else:
+        stored = (acc[0] for acc in grids())
+    keys = np.empty(size, dtype=dtype)
     at = 0
-    for start, width in [(0, 0), *spans]:  # the zero burst spans no column: its grid is the offsets
-        acc = offsets
-        for j in reversed(range(start, start + width)):  # the anchor column takes d != 0 only
-            acc = [add(t[int(j == start) :, None], a).ravel() for t, a in zip(tabs[j], acc)]
-        grid = acc[0] if k == 1 else np.zeros(acc[0].size, dtype=np.uint64)
-        for word, byte_tabs in zip(acc, readers):  # k > 1 only
-            for c, tab in enumerate(byte_tabs):
-                grid += tab[word >> 8 * c & 255]
+    for grid in stored:
         keys[at : at + grid.size] = grid
         at += grid.size
     if at != keys.size:
         raise AssertionError("the span grids left syndrome keys unfilled")
     keys.sort()
-    buckets, max_count, best = _runs(np, keys)
-    return keys.size, buckets, max_count, key(best) if k == 1 else best
+    if not linear:
+        buckets, max_count, best = _runs(np, keys)
+        return keys.size, buckets, max_count, key(best) if k == 1 else best
+    z = int(np.searchsorted(keys, 1))
+    classes, largest, best = _runs(np, keys[z:])
+    zero = 1 + (q - 1) * z
+    return 1 + (q - 1) * keys.size, 1 + (q - 1) * classes, max(zero, largest), 0 if zero >= largest else best
 
 
 def max_list_size(

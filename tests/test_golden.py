@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from burstkit import cli, code_to_dict, expand, field_from_order, rs_code
+from burstkit import LinearCode, Mat, cli, code_to_dict, expand, field_from_order, rs_code
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -27,7 +27,8 @@ def bounds(q, n, tau, ell, size):
     return ["bounds", *(f"--{k}={v}" for k, v in flags.items())]
 
 
-# file name -> (argv, exit code); "{ex7}" stands for the explicit RS GF(7) code file.
+# file name -> (argv, exit code); "{ex7}" stands for the explicit RS GF(7) code
+# file and "{lin81}" for the linear GF(81) code file of lin81_code.
 RUNS = {
     "certify-rs16-r6.json": (certify_rs(16, 15, 6, 4, 2), 0),
     "certify-rs16-r5.json": (certify_rs(16, 15, 5, 4, 2), 3),
@@ -38,6 +39,11 @@ RUNS = {
     "refute-rs7-r3.json": (certify_rs(7, 6, 3, 2, 1), 3),
     # the first witness burst starts at position 2, so no solve returns it as is
     "refute-rs11-r3.json": (certify_rs(11, 10, 3, 2, 1), 3),
+    # odd p^m, one int64 word of ten 4-bit lanes per key
+    "refute-rs25-r4.json": (certify_rs(25, 24, 4, 3, 2), 3),
+    # 24 three-bit lanes, two int64 words per key; the worst word's syndrome
+    # is a multiple of column 3 whose top row is 1, not column 3 itself
+    "refute-lin81-r6.json": (["certify", "--code", "{lin81}", "--tau", "2", "--ell", "1"], 3),
     "reproduce-example1.json": (["reproduce", "example1"], 0),
     "reproduce-example2.json": (["reproduce", "example2"], 0),
     "reproduce-rs_grid.json": (["reproduce", "rs_grid"], 0),
@@ -72,19 +78,31 @@ RUNS = {
 }
 
 
+def lin81_code():
+    """RS over GF(81) with n = 10 and r = 6, plus an eleventh column that
+    is the generator times column 3."""
+    ctx = field_from_order(81)
+    rows = [row + [ctx.mul(ctx.generator, row[3])] for row in rs_code(ctx, 10, 6).H.to_rows()]
+    return LinearCode(ctx, 11, Mat.from_rows(ctx, rows, cols=11))
+
+
 @pytest.fixture(scope="module")
-def ex7_path(tmp_path_factory):
-    code = expand(rs_code(field_from_order(7), 6, 3))
-    path = tmp_path_factory.mktemp("golden") / "ex7-code.json"
-    path.write_text(json.dumps(code_to_dict(code, "ex7", {"q": 7, "n": 6, "r": 3})))
-    return str(path)
+def code_paths(tmp_path_factory):
+    codes = {
+        "{ex7}": code_to_dict(expand(rs_code(field_from_order(7), 6, 3)), "ex7", {"q": 7, "n": 6, "r": 3}),
+        "{lin81}": code_to_dict(lin81_code(), "lin81", {"q": 81, "n": 11, "r": 6}),
+    }
+    folder = tmp_path_factory.mktemp("golden")
+    for name, code in codes.items():
+        (folder / f"{name[1:-1]}-code.json").write_text(json.dumps(code))
+    return {name: str(folder / f"{name[1:-1]}-code.json") for name in codes}
 
 
 @pytest.mark.parametrize("numpy_blocked", [False, True], ids=["numpy", "pure"])
-def test_reports_match_golden(capsys, monkeypatch, ex7_path, numpy_blocked):
+def test_reports_match_golden(capsys, monkeypatch, code_paths, numpy_blocked):
     if numpy_blocked:
         monkeypatch.setitem(sys.modules, "numpy", None)
     for name, (argv, exit_code) in RUNS.items():
         capsys.readouterr()
-        assert cli.main([ex7_path if a == "{ex7}" else a for a in argv]) == exit_code, name
+        assert cli.main([code_paths.get(a, a) for a in argv]) == exit_code, name
         assert capsys.readouterr().out == (GOLDEN / name).read_text(), name

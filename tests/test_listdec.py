@@ -32,6 +32,7 @@ from burstkit import (
     gf,
     is_burst,
     listdec,
+    mat_mul,
     max_list_size,
     replay_witness,
     rank,
@@ -768,7 +769,7 @@ def paired_words_code(ctx, n):
         (7, 6, 3, 3, False, "rs", 1, "uint32"),
         (9, 8, 3, 2, False, "rs", 1, "uint32"),
         (11, 10, 5, 4, False, "rs", 1, "uint32"),
-        (25, 24, 5, 3, False, "rs", 1, "int64"),
+        (25, 24, 5, 3, False, "rs", 1, "uint32"),
         (81, 10, 6, 2, False, "rs", 2, "int64"),
         (27, 13, 8, 3, True, "rs", 2, "int64"),
         (1009, 8, 6, 1, False, "rs", 2, "int64"),
@@ -778,26 +779,30 @@ def paired_words_code(ctx, n):
         (7, 6, 3, 2, True, "expanded", 1, "uint32"),
         (1009, 6, None, 1, False, "random", 2, "int64"),
         (1009, 12, 6, 1, False, "twice", 2, "int64"),
+        (3, 24, 12, 9, False, "twice", 1, "uint32"),
+        (25, 24, 8, 2, False, "rs", 2, "int64"),
     ],
     ids=[
         "gf8-phased", "gf7", "gf9", "gf11-r5-tau4", "gf25-r5-tau3", "gf81-r6", "gf27-r8-phased", "gf1009-r6",
         "gf81-repeated-columns", "gf5-r27", "ex1-gf5", "expanded-rs7-phased", "random-gf1009-n6",
-        "gf1009-repeated-columns",
+        "gf1009-repeated-columns", "gf3-twice-tau9", "gf25-r8",
     ],
 )
 def test_numpy_scan_matches_pure(monkeypatch, q, n, r, tau, phased, h, k, dtype):
-    """The kernel on one int64 word (k = 1) and on k > 1 words, whose
-    grids it reads into dense keys a byte at a time; "twice" is
-    H = [I | I], whose buckets hold the bursts at j and j + r together.
+    """The kernel on one int64 word (k = 1) and on k > 1 words; "twice"
+    is H = [I | I], whose buckets hold the bursts at j and j + r together.
+    Every k > 1 grid, and a linear code's k = 1 grid, is read row by row
+    into dense keys; a linear code's are its scaling classes' keys.
     Over GF(1009) its six 11-bit lanes take two words, and its largest
     buckets have nonzero keys, which gf1009-r6's one-burst buckets lack.
-    GF(5) at r = 27 keeps 5^27 < 2^63, but its top byte tables hold
-    entries past 2^64, which wrap as the key sums do. The explicit codes
-    key by the n x n exchange check, so GF(1009) at n = 6 has six lanes
-    of 11 bits, one more than an int64 word holds. Keys of at most 32
-    bits are stored as uint32; GF(25) at r = 5 packs ten 4-bit lanes, so
-    its keys stay int64 with k = 1. GF(11) and GF(25) scan 94,501 and
-    330,625 keys, more than one counting block."""
+    GF(25) at r = 8 has 16 four-bit lanes at 15 per word, so its top row
+    straddles the two words. The explicit codes key by the n x n exchange
+    check, so GF(1009) at n = 6 has six lanes of 11 bits, one more than an
+    int64 word holds. A linear scan stores its keys as uint32 when
+    q^r <= 2^32, so GF(25) at r = 5 and GF(3) at r = 12, whose packed words
+    take 40 and 36 bits, count uint32 keys; an explicit scan does so when
+    its packed word fits in 32 bits. GF(3) at tau = 9 counts 108,256 class
+    keys, more than one counting block."""
     pytest.importorskip("numpy")
     stored = []
     runs = listdec._runs
@@ -821,6 +826,84 @@ def test_numpy_scan_matches_pure(monkeypatch, q, n, r, tau, phased, h, k, dtype)
     assert stored == [dtype]
     assert fast == listdec._scan_pure(tables, spans)
     assert h != "random" or fast[2] == 2
+
+
+@pytest.mark.parametrize(
+    "q,columns,want",
+    [
+        # the largest class {(2, 1), (4, 2), (1, 3), (3, 4)} (rows low to high)
+        # holds columns 0 and 1; its smallest key, 2 + 1*5 = 7, has top row 1,
+        # while scaling its lowest row to 1 gives (1, 3), key 16
+        (5, [(2, 1), (2, 1), (1, 0), (0, 1)], (17, 13, 2, 7)),
+        # column 0 is zero, so the zero bucket holds 1 + 2 * 1 = 3 bursts, as
+        # many as the class of (1, 0), which holds columns 1, 2 and 3
+        (3, [(0, 0), (1, 0), (1, 0), (2, 0), (0, 1)], (11, 5, 3, 0)),
+    ],
+    ids=["orbit-minimum", "zero-bucket-ties"],
+)
+def test_linear_scan_rebuilds_the_buckets(q, columns, want):
+    """The linear scan counts the anchor-1 bursts by scaling class and
+    rebuilds (pairs, buckets, max bucket, its smallest key) from them."""
+    pytest.importorskip("numpy")
+    ctx = field_from_order(q)
+    code = LinearCode(ctx, len(columns), Mat.from_rows(ctx, [list(row) for row in zip(*columns)]))
+    spans = list(anchored_spans(BurstSpace(code.n, 1)))
+    tables = listdec._column_tables(code)
+    assert listdec._scan_numpy(ctx, tables, spans) == want == listdec._scan_pure(tables, spans)
+
+
+SCAN_FIELDS = {**DECODE_FIELDS, 16: field_from_order(16), 25: field_from_order(25)}
+
+
+@st.composite
+def scan_linear_codes(draw):
+    """H = M * [I | C] with its columns shuffled, M invertible (unit lower
+    times upper triangular) and each column of C random, zero or a
+    multiple of an earlier column, so that the zero bucket can win or tie.
+    For odd q the rows may overflow one int64 word of lanes (k = 2); over
+    GF(9) and GF(25) the top row then straddles the two words."""
+    ctx = SCAN_FIELDS[draw(st.sampled_from(sorted(SCAN_FIELDS)))]
+    q, per = ctx.q, 63 // gf._width(ctx.p)
+    r = per // ctx.m + 1 if ctx.p > 2 and draw(st.booleans()) else draw(st.integers(1, 4))
+    extra = draw(st.integers(0, 4))
+    tau = draw(st.integers(1, min(3, r + extra)))
+    assume(count_bursts(q, r + extra, tau) <= 20000)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    cols = [[int(i == j) for i in range(r)] for j in range(r)]
+    for kind in draw(st.lists(st.sampled_from(["random", "zero", "multiple"]), min_size=extra, max_size=extra)):
+        c = rng.randrange(1, q)
+        cols.append(
+            [rng.randrange(q) for _ in range(r)] if kind == "random"
+            else [0] * r if kind == "zero"
+            else [ctx.mul(c, x) for x in rng.choice(cols)]
+        )
+    rng.shuffle(cols)
+    low = [[rng.randrange(q) if j < i else int(i == j) for j in range(r)] for i in range(r)]
+    up = [[rng.randrange(1, q) if i == j else rng.randrange(q) if j > i else 0 for j in range(r)] for i in range(r)]
+    h = mat_mul(mat_mul(Mat.from_rows(ctx, low), Mat.from_rows(ctx, up)), Mat.from_rows(ctx, [list(x) for x in zip(*cols)]))
+    return LinearCode(ctx, len(cols), h), tau, draw(st.booleans())
+
+
+def test_linear_scan_matches_pure_on_random_codes():
+    """The numpy scan's whole tuple against the pure scan's on random
+    linear codes over prime, 2^m and odd p^m fields, GF(2) among them,
+    where scaling is the identity."""
+    pytest.importorskip("numpy")
+    seen = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(scan_linear_codes())
+    def check(case):
+        code, tau, phased = case
+        spans = list(anchored_spans(BurstSpace(code.n, tau, phased)))
+        tables = listdec._column_tables(code)
+        fast = listdec._scan_numpy(code.ctx, tables, spans)
+        assert fast == listdec._scan_pure(tables, spans)
+        seen.add("zero bucket largest" if fast[3] == 0 else "class largest")  # only the zero syndrome has key 0
+        seen.add("two words" if tables[2] > 63 // gf._width(code.ctx.p) else "one word")
+
+    check()
+    assert seen == {"zero bucket largest", "class largest", "two words", "one word"}
 
 
 def _runs_by_counter(values):
@@ -858,7 +941,8 @@ def test_runs_match_counter(dtype, block):
 
 def test_gf32_tau4_certify_memory():
     """The GF(32) tau = 4 certify (28.5M bursts) peaks under 400 MiB: its
-    keys take 4 B each, sorted in place and counted a block at a time.
+    918,561 class keys take 4 B each, sorted in place and counted a block
+    at a time.
     The child reports the peak of its own address space (VmHWM): its
     ru_maxrss would also count the pages of this process, which it
     shares until it execs."""
