@@ -99,9 +99,13 @@ def sphere_packing(q: int, n: int, tau: int, ell: int, size: int) -> BoundVerdic
         raise ValueError(f"tau must satisfy 1 <= tau <= {n}, got {tau}")
     v = count_bursts(q, n, tau)
     rhs = ell * q**n
+    try:
+        redundancy = _logq(v / ell, q)
+    except OverflowError:  # v / ell passes the float range; math.log reads any int
+        redundancy = (math.log(v) - math.log(ell)) / math.log(q)
     return _verdict(
         "sphere_packing", inputs,
-        size * v, "<=", rhs, rhs // v, _logq(v / ell, q),
+        size * v, "<=", rhs, rhs // v, redundancy,
     )
 
 

@@ -65,6 +65,15 @@ def _write(text: str, args) -> None:
         print(text)
 
 
+def _digits(x: int) -> str:
+    """x in decimal, exactly at any size: str() refuses ints past 4,300
+    digits, Decimal's conversion does not. decimal is imported on first
+    use, as only count and bound reports need it."""
+    import decimal
+
+    return str(decimal.Decimal(x))
+
+
 def _report(command: str, config: dict, body: dict) -> dict:
     return {"schema": SCHEMA, "command": command, "config": config, **body}
 
@@ -106,15 +115,15 @@ def _verdict_json(v) -> dict:
         "bound_id": v.bound_id,
         "applicable": v.applicable,
         "satisfied": v.satisfied,
-        "max_size": None if v.max_size is None else str(v.max_size),
+        "max_size": None if v.max_size is None else _digits(v.max_size),
         "exact_terms": None
         if v.exact_terms is None
         else {
-            "lhs": str(v.exact_terms["lhs"]),
+            "lhs": _digits(v.exact_terms["lhs"]),
             "relation": v.exact_terms["relation"],
-            "rhs": str(v.exact_terms["rhs"]),
+            "rhs": _digits(v.exact_terms["rhs"]),
         },
-        "inputs": {k: (str(x) if isinstance(x, int) else x) for k, x in v.inputs.items()},
+        "inputs": {k: (_digits(x) if isinstance(x, int) else x) for k, x in v.inputs.items()},
         "min_redundancy": v.min_redundancy,
     }
 
@@ -177,7 +186,7 @@ def _load_code(args) -> CodeHandle:
 def cmd_count_bursts(args) -> int:
     count = BurstSpace(args.n, args.tau, args.phased).count(args.q)
     cfg = {"q": args.q, "n": args.n, "tau": args.tau, "phased": args.phased}
-    _emit(_report("count-bursts", cfg, {"count": str(count)}), args)
+    _emit(_report("count-bursts", cfg, {"count": _digits(count)}), args)
     return EXIT_OK
 
 

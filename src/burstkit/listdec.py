@@ -32,22 +32,25 @@ the same recursion runs on int64 words, and its keys are sorted in
 place and counted 2^16 at a time, so the scan holds 4 or 8 bytes per
 key and no copy of them.
 
-For a linear code the numpy scan counts scaling classes. A nonzero
-burst is d*e1, with d its anchor digit and e1 the same burst with
-anchor digit 1, and H(d*e1) = d*H*e1; so a nonzero syndrome S has
+The numpy scan reads one number, the class size f. For a linear code a
+nonzero burst is d*e1, with d its anchor digit and e1 the same burst
+with anchor digit 1, and H(d*e1) = d*H*e1; so a nonzero syndrome S has
 mult(S) = #{e1 : H*e1 in F*S} bursts, the same for each of the q - 1
-members of its class F*S. The scan builds only the N1 = (bursts-1)/(q-1)
-anchor-1 bursts and keys each by its class's smallest member: the
-syndrome scaled so that its top nonzero row is 1. With z zero keys
-among them and C nonzero classes, the multiset is rebuilt exactly:
-1 + (q-1)*N1 pairs, 1 + (q-1)*C buckets, and a largest bucket of
-max(1 + (q-1)*z, largest class), whose smallest key is 0 when the zero
-bucket is among the largest and else the smallest key of a tied class.
-An explicit code's offsets J*c do not scale, so its scan counts every
-pair. The scan only counts: the refutation witness comes from decode,
-run on the worst word y, whose syndrome is the smallest key of the
-largest bucket (J puts position 0 in the top row, so for an explicit
-code y is the smallest word of the largest sum bucket).
+members of its class F*S, and f = q - 1. An explicit code's offsets J*c
+do not scale, and f = 1. Each span's anchor column takes the digits
+1 .. (q-1)/f, the zero burst's grid is the offsets, and when f > 1 each
+key is its class's smallest member: the syndrome scaled so that its top
+nonzero row is 1. With z zero keys and C distinct nonzero keys among K,
+the multiset is rebuilt exactly: 1 + f*(K-1) pairs, (z > 0) + f*C
+buckets, and a largest bucket of max(1 + f*(z-1), longest nonzero run),
+the zero bucket counting 0 when z = 0, whose smallest key is 0 when the
+zero bucket is among the largest and else the smallest key of the
+longest run. (A linear code's zero burst is one of its z zero keys and
+stands for itself alone.) The scan only counts: the refutation witness
+comes from decode, run on the worst word y, whose syndrome is the
+smallest key of the largest bucket (J puts position 0 in the top row,
+so for an explicit code y is the smallest word of the largest sum
+bucket).
 
 Detection is tested window by window: a nonzero tau-burst difference of
 two codewords lies inside some window of tau consecutive positions. A
@@ -323,13 +326,15 @@ def detects_single_burst(code, tau: int, cap: int | None = None) -> bool:
 # -- certification -------------------------------------------------------
 
 def _column_tables(code):
-    """(offsets, tabs, lanes, add, key), built once per scan: tabs[j][d]
+    """(offsets, tabs, lanes, add, key, f), built once per scan: tabs[j][d]
     is the syndrome of digit d at position j under the scan's check, in
     lanes = rows*m base-p digit lanes (lane m*i + k holds digit k of row
     i) of gf._width(p) bits, which add and key (gf._packing) read; tabs[j]
     is gf._outer_table of _images of the check's column j. A linear code's
-    check is H and offsets is [0]; an explicit code's is J, which moves
-    position j to row n-1-j, and offsets holds J*c for each codeword."""
+    check is H, offsets is [0] and f, the class size, is q - 1: each
+    nonzero key stands for its q - 1 multiples. An explicit code's check
+    is J, which moves position j to row n-1-j, offsets holds J*c for each
+    codeword, which do not scale, and f is 1."""
     ctx, n = code.ctx, code.n
     linear = isinstance(code, LinearCode)
     lanes = (code.r if linear else n) * ctx.m
@@ -337,7 +342,7 @@ def _column_tables(code):
     check = code.H.to_rows() if linear else [[int(i + j == n - 1) for j in range(n)] for i in range(n)]
     tabs = [_outer_table(add, images, ctx.p) for images in _images(ctx, check, n, ctx.p)]
     offsets = [0] if linear else [sum(tab[x] for tab, x in zip(tabs, c)) for c in code.codewords]
-    return offsets, tabs, lanes, add, key
+    return offsets, tabs, lanes, add, key, ctx.q - 1 if linear else 1
 
 
 def _scan_pure(tables, spans):
@@ -346,7 +351,7 @@ def _scan_pure(tables, spans):
     for the zero burst, then per anchored span the outer sum of its column
     tables (the anchor's nonzero digits only) and the offsets, from the
     last column back. Only the winner is converted, with key."""
-    offsets, tabs, _, add, key = tables
+    offsets, tabs, _, add, key, _ = tables
     buckets: Counter[int] = Counter()
     for start, width in [(0, 0), *spans]:  # the zero burst spans no column: its keys are the offsets
         acc = offsets
@@ -445,19 +450,18 @@ def _scan_numpy(ctx, tables, spans):
     when numpy is missing or a key would not fit in int64 (q^rows >= 2^63).
 
     The packed lanes are split into k words of 63 // w lanes, and the
-    span grids are mapped to keys a block at a time (_blocks). A linear
-    scan (offsets [0]) builds only the bursts whose anchor digit is 1 and
-    keys each by its scaling class (_row_keys; see the module notes): a
-    sorted run of c keys stands for q - 1 buckets of c bursts, and the z
-    zero keys for one bucket of 1 + (q-1) * z with the zero burst. Its
-    keys are stored as uint32 when q^rows <= 2^32, else as int64. An
-    explicit scan takes every anchor digit and every offset. For k = 1
-    its word sorts as the key does, and only the winner is converted; it
-    is stored as uint32 when its w * lanes bits fit in 32. For k > 1 each
-    grid is read into dense int64 keys (_row_keys). Either way the keys
-    are sorted in place and counted by _runs a block at a time.
+    grids are mapped to keys a block at a time (_blocks). With class size
+    f, a span's anchor column takes the digits 1 .. (q-1)/f, and the zero
+    burst's grid is the offsets. A k = 1 word with f = 1 sorts as its
+    dense key does and is stored raw, and only the winner is converted;
+    every other grid is read into dense keys by _row_keys, which scales
+    each to its class's smallest member when f > 1. Keys are stored as
+    uint32 when they fit in 32 bits (2^(w*lanes) raw, q^rows dense), else
+    as int64, sorted in place and counted by _runs a block at a time; the
+    result is rebuilt from the zero and nonzero keys with f (see the
+    module notes).
     """
-    offsets, tabs, lanes, _, key = tables
+    offsets, tabs, lanes, _, key, f = tables
     p, q, w = ctx.p, ctx.q, _width(ctx.p)
     if p**lanes >= 1 << 63:
         return None
@@ -467,18 +471,11 @@ def _scan_numpy(ctx, tables, spans):
         return None
     per = 63 // w
     add = _packing(p, per)[1]
-    k = max(1, -(-lanes // per))
-    linear, rows = offsets == [0], lanes // ctx.m
-    # anchor: the digits of a span's first column, 1 alone in a linear scan
-    if linear:  # the zero burst is counted apart
-        anchor = slice(1, 2)
-        dtype = np.uint32 if q**rows <= 1 << 32 else np.int64
-        size = sum(q ** (width - 1) for _, width in spans)
-    else:  # the zero burst spans no column: its grid is the offsets
-        anchor = slice(1, None)
-        dtype = np.uint32 if k == 1 and w * lanes <= 32 else np.int64
-        size = len(offsets) * (1 + sum((q - 1) * q ** (width - 1) for _, width in spans))
-        spans = [(0, 0), *spans]
+    k, rows, digits = max(1, -(-lanes // per)), lanes // ctx.m, (q - 1) // f
+    anchor = slice(1, 1 + digits)  # the digits of a span's first column
+    raw = k == 1 and f == 1
+    dtype = np.uint32 if (1 << w * lanes if raw else q**rows) <= 1 << 32 else np.int64
+    size = len(offsets) * (1 + sum(digits * q ** (width - 1) for _, width in spans))
 
     def split(packed, mask=(1 << w * per) - 1):
         return [np.array([t >> (w * per * i) & mask for t in packed], dtype=np.int64) for i in range(k)]
@@ -486,18 +483,13 @@ def _scan_numpy(ctx, tables, spans):
     offsets, tabs = split(offsets), [split(tab) for tab in tabs]
 
     def grids():
-        for start, width in spans:
+        for start, width in [(0, 0), *spans]:  # the zero burst spans no column: its grid is the offsets
             acc = offsets
             for j in reversed(range(start, start + width)):
                 acc = [add(t[anchor if j == start else slice(None), None], a).ravel() for t, a in zip(tabs[j], acc)]
             yield acc
 
-    # a k = 1 word sorts as its dense key does; over GF(2) it is that key,
-    # and scaling is the identity
-    if k > 1 or linear and q > 2:
-        stored = map(_row_keys(np, ctx, rows, per, linear), _blocks(np, grids()))
-    else:
-        stored = (acc[0] for acc in grids())
+    stored = (acc[0] for acc in grids()) if raw else map(_row_keys(np, ctx, rows, per, f > 1), _blocks(np, grids()))
     keys = np.empty(size, dtype=dtype)
     at = 0
     for grid in stored:
@@ -506,13 +498,11 @@ def _scan_numpy(ctx, tables, spans):
     if at != keys.size:
         raise AssertionError("the span grids left syndrome keys unfilled")
     keys.sort()
-    if not linear:
-        buckets, max_count, best = _runs(np, keys)
-        return keys.size, buckets, max_count, key(best) if k == 1 else best
     z = int(np.searchsorted(keys, 1))
     classes, largest, best = _runs(np, keys[z:])
-    zero = 1 + (q - 1) * z
-    return 1 + (q - 1) * keys.size, 1 + (q - 1) * classes, max(zero, largest), 0 if zero >= largest else best
+    zero = 1 + f * (z - 1) if z else 0
+    best = 0 if zero >= largest else key(best) if raw else best
+    return 1 + f * (keys.size - 1), (z > 0) + f * classes, max(zero, largest), best
 
 
 def max_list_size(
@@ -546,9 +536,9 @@ def max_list_size(
     spans = list(anchored_spans(space))
     tables = _column_tables(code)
     pairs, work["buckets"], max_count, key = _scan_numpy(ctx, tables, spans) or _scan_pure(tables, spans)
-    del tables  # the witness's decode builds its own tables
-    if pairs != n_bursts * (1 if linear else code.size):
+    if pairs != n_bursts * len(tables[0]):
         raise AssertionError("bucketed burst count disagrees with the closed form")
+    del tables  # the witness's decode builds its own tables
     witness = None
     if ell is not None and max_count > ell:
         # y is any word whose syndrome under the check has the key's base-q

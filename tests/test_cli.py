@@ -1,8 +1,9 @@
+import decimal
 import json
 
 import pytest
 
-from burstkit import BOUND_IDS, BurstPattern, code_from_dict, replay_witness
+from burstkit import BOUND_IDS, BurstPattern, code_from_dict, count_bursts, replay_witness
 from burstkit.cli import main
 
 
@@ -117,6 +118,31 @@ def test_bounds_single_id_matches_all(capsys, bound_id):
     assert code == 0
     by_id = {v["bound_id"]: v for v in every["verdicts"]}
     assert single["verdicts"] == [by_id[bound_id]]
+
+
+def test_integers_past_4300_digits_print_exactly(capsys):
+    """Counts and exact terms print in full where str() refuses them: the
+    burst count at q = 2, n = tau = 15000 and the sphere-packing rhs
+    2 * 2^15000 have 4,516 digits each."""
+    code, payload = run_cli(capsys, "count-bursts", "--q", "2", "--n", "15000", "--tau", "15000")
+    count = payload["count"]
+    assert code == 0 and count.isdecimal() and len(count) > 4300
+    assert decimal.Decimal(count) == count_bursts(2, 15000, 15000)
+    code, payload = run_cli(
+        capsys, "bounds", "--q", "2", "--n", "15000", "--tau", "3", "--ell", "2", "--size", "4", "--bound", "sphere_packing"
+    )
+    (v,) = payload["verdicts"]
+    assert code == 0 and v["satisfied"] is True
+    assert decimal.Decimal(v["exact_terms"]["rhs"]) == 2 * 2**15000
+
+
+def test_sphere_packing_past_the_float_range(capsys):
+    """V_2(2000, 2000) = 2^2000 - 1 overflows a float; the advisory
+    redundancy log_2(V / ell) is then read from each integer's log."""
+    code, payload = run_cli(capsys, "bounds", "--q", "2", "--n", "2000", "--tau", "2000", "--ell", "2", "--size", "4")
+    assert code == 0
+    v = {v["bound_id"]: v for v in payload["verdicts"]}["sphere_packing"]
+    assert v["satisfied"] is False and v["min_redundancy"] == pytest.approx(1999)
 
 
 def test_bounds_unknown_id_usage_error(capsys):

@@ -791,19 +791,19 @@ def paired_words_code(ctx, n):
 def test_numpy_scan_matches_pure(monkeypatch, q, n, r, tau, phased, h, k, dtype):
     """The kernel on one int64 word (k = 1) and on k > 1 words; "twice"
     is H = [I | I], whose buckets hold the bursts at j and j + r together.
-    Every k > 1 grid, and a linear code's k = 1 grid, is read row by row
+    Every grid but a one-word grid of class size 1 is read row by row
     into dense keys; a linear code's are its scaling classes' keys.
     Over GF(1009) its six 11-bit lanes take two words, and its largest
     buckets have nonzero keys, which gf1009-r6's one-burst buckets lack.
     GF(25) at r = 8 has 16 four-bit lanes at 15 per word, so its top row
     straddles the two words. The explicit codes key by the n x n exchange
     check, so GF(1009) at n = 6 has six lanes of 11 bits, one more than an
-    int64 word holds. A linear scan stores its keys as uint32 when
-    q^r <= 2^32, so GF(25) at r = 5 and GF(3) at r = 12, whose packed words
-    take 40 and 36 bits, count uint32 keys; an explicit scan does so when
-    its packed word fits in 32 bits. GF(3) at tau = 9 counts 108,256 class
-    keys, more than one counting block."""
-    pytest.importorskip("numpy")
+    int64 word holds. Keys are stored as uint32 when they fit in 32 bits:
+    dense keys when q^rows <= 2^32, so GF(25) at r = 5 and GF(3) at r = 12,
+    whose packed words take 40 and 36 bits, count uint32 keys; raw keys
+    (one word, class size 1) when the packed word fits. GF(3) at tau = 9
+    counts 108,256 class keys, more than one counting block."""
+    pytest.importorskip("numpy", exc_type=ImportError)
     stored = []
     runs = listdec._runs
     monkeypatch.setattr(listdec, "_runs", lambda np, keys: stored.append(keys.dtype.name) or runs(np, keys))
@@ -829,24 +829,32 @@ def test_numpy_scan_matches_pure(monkeypatch, q, n, r, tau, phased, h, k, dtype)
 
 
 @pytest.mark.parametrize(
-    "q,columns,want",
+    "q,columns,words,want",
     [
         # the largest class {(2, 1), (4, 2), (1, 3), (3, 4)} (rows low to high)
         # holds columns 0 and 1; its smallest key, 2 + 1*5 = 7, has top row 1,
         # while scaling its lowest row to 1 gives (1, 3), key 16
-        (5, [(2, 1), (2, 1), (1, 0), (0, 1)], (17, 13, 2, 7)),
+        (5, [(2, 1), (2, 1), (1, 0), (0, 1)], None, (17, 13, 2, 7)),
         # column 0 is zero, so the zero bucket holds 1 + 2 * 1 = 3 bursts, as
         # many as the class of (1, 0), which holds columns 1, 2 and 3
-        (3, [(0, 0), (1, 0), (1, 0), (2, 0), (0, 1)], (11, 5, 3, 0)),
+        (3, [(0, 0), (1, 0), (1, 0), (2, 0), (0, 1)], None, (11, 5, 3, 0)),
+        # an explicit code, f = 1: the zero word is 00 + 00, 10 + 20 and
+        # 01 + 02, and no other sum is reached three times
+        (3, None, [(0, 0), (1, 0), (0, 1)], (15, 8, 3, 0)),
     ],
-    ids=["orbit-minimum", "zero-bucket-ties"],
+    ids=["orbit-minimum", "zero-bucket-ties", "explicit-zero-bucket-largest"],
 )
-def test_linear_scan_rebuilds_the_buckets(q, columns, want):
-    """The linear scan counts the anchor-1 bursts by scaling class and
-    rebuilds (pairs, buckets, max bucket, its smallest key) from them."""
-    pytest.importorskip("numpy")
+def test_scan_rebuilds_the_buckets(q, columns, words, want):
+    """The numpy scan counts a linear code's anchor-1 bursts by scaling
+    class and an explicit code's pairs one by one, and rebuilds (pairs,
+    buckets, max bucket, its smallest key) from its zero and nonzero keys
+    with the class size f."""
+    pytest.importorskip("numpy", exc_type=ImportError)
     ctx = field_from_order(q)
-    code = LinearCode(ctx, len(columns), Mat.from_rows(ctx, [list(row) for row in zip(*columns)]))
+    if words is None:
+        code = LinearCode(ctx, len(columns), Mat.from_rows(ctx, [list(row) for row in zip(*columns)]))
+    else:
+        code = ExplicitCode(ctx, len(words[0]), tuple(words))
     spans = list(anchored_spans(BurstSpace(code.n, 1)))
     tables = listdec._column_tables(code)
     assert listdec._scan_numpy(ctx, tables, spans) == want == listdec._scan_pure(tables, spans)
@@ -888,7 +896,7 @@ def test_linear_scan_matches_pure_on_random_codes():
     """The numpy scan's whole tuple against the pure scan's on random
     linear codes over prime, 2^m and odd p^m fields, GF(2) among them,
     where scaling is the identity."""
-    pytest.importorskip("numpy")
+    pytest.importorskip("numpy", exc_type=ImportError)
     seen = set()
 
     @settings(max_examples=300, deadline=None)
@@ -917,7 +925,7 @@ def _runs_by_counter(values):
 def test_runs_match_counter(dtype, block):
     """_runs against a Counter on sorted arrays, with the block size
     passed in (None: the default)."""
-    np = pytest.importorskip("numpy")
+    np = pytest.importorskip("numpy", exc_type=ImportError)
     b = block or 1 << 16
     top = (1 << 32) - 1 if dtype == "uint32" else 1 << 62
     rng = random.Random(b)
@@ -946,7 +954,7 @@ def test_gf32_tau4_certify_memory():
     The child reports the peak of its own address space (VmHWM): its
     ru_maxrss would also count the pages of this process, which it
     shares until it execs."""
-    pytest.importorskip("numpy")
+    pytest.importorskip("numpy", exc_type=ImportError)
     src = os.path.dirname(os.path.dirname(os.path.abspath(burstkit.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     probe = (
@@ -967,7 +975,7 @@ def test_gf32_tau4_certify_memory():
 def test_packed_add_fills_an_int64_word(p):
     """add on int64 arrays of 63 // w lanes: every lane at (p-1) + (p-1),
     which needs the top lane's headroom, then random lanes."""
-    np = pytest.importorskip("numpy")
+    np = pytest.importorskip("numpy", exc_type=ImportError)
     w = gf._packing(p, 1)[0]
     lanes = 63 // w
     add = gf._packing(p, lanes)[1]
