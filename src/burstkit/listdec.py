@@ -9,7 +9,8 @@ RREF transform E, and E*H*y gives the window's payloads with no
 elimination per word. Each window's E goes into the stack E_all as the
 window is reduced, and only H and E_all are kept, as packed-lane tables:
 a decode adds one table entry per chunk of each element of y to get H*y
-as packed lanes, one per byte of those lanes to get E_all*H*y, then
+as packed lanes, one per byte of those lanes (for a prime field with
+p <= 128, per the whole lanes that fit in a byte) to get E_all*H*y, then
 tests each window's annihilator lanes for zero and reads each pivot's
 lanes, with no field operation before the candidates are formed. For
 an explicit code the codewords are grouped by what is left once the
@@ -29,7 +30,7 @@ indices, and keys compare the top row first. The pure-Python scan holds
 each syndrome in one int, counts it in a Counter, and is the fallback
 and the reference the tests compare against. When numpy is importable
 the same recursion runs on int64 words, and its keys are sorted in
-place and counted 2^16 at a time, so the scan holds 4 or 8 bytes per
+place and counted 2^14 at a time, so the scan holds 4 or 8 bytes per
 key and no copy of them.
 
 The numpy scan reads one number, the class size f. For a linear code a
@@ -46,11 +47,19 @@ buckets, and a largest bucket of max(1 + f*(z-1), longest nonzero run),
 the zero bucket counting 0 when z = 0, whose smallest key is 0 when the
 zero bucket is among the largest and else the smallest key of the
 longest run. (A linear code's zero burst is one of its z zero keys and
-stands for itself alone.) The scan only counts: the refutation witness
-comes from decode, run on the worst word y, whose syndrome is the
-smallest key of the largest bucket (J puts position 0 in the top row,
-so for an explicit code y is the smallest word of the largest sum
-bucket).
+stands for itself alone.) A word holds whole rows, and keys are read a
+chunk of g rows at a time: two tables built once per scan give each
+chunk value's top nonzero row's scale and its dense key times each of
+the f scales, so a block of keys costs one gather and one where per
+chunk for the scale and one gather per chunk for the key. g is the
+largest whose (f + 1) * 2^(g*m*w) table entries are no more than the
+scan's keys; where even one row's are more (a linear code over
+GF(1009) or GF(2^16), ...), each row is read from its lanes and scaled
+by log and exp tables of O(q) entries. The scan only counts: the
+refutation witness comes from decode, run on the worst word y, whose
+syndrome is the smallest key of the largest bucket (J puts position 0
+in the top row, so for an explicit code y is the smallest word of the
+largest sum bucket).
 
 Detection is tested window by window: a nonzero tau-burst difference of
 two codewords lies inside some window of tau consecutive positions. A
@@ -146,9 +155,9 @@ def decode(code, y, tau: int, phased: bool = False, cap: int | None = None) -> L
 def _decode_linear(code: LinearCode, y: Word, tau: int, space: BurstSpace, cap) -> ListDecodeResult:
     ctx = code.ctx
     limit = _caps.limit("SOLUTIONS", cap)
-    radix, cols, rows, add_s, add, lane, index, windows = _linear_decoder(code, tau, space.phased)
+    radix, cols, rows, row_radix, add_s, add, lane, index, windows = _linear_decoder(code, tau, space.phased)
     s = _apply(cols, radix, add_s, y)  # H*y as packed lanes
-    z = _apply([rows], 256, add, [s])  # E_all*H*y, a byte of H*y per table
+    z = _apply([rows], row_radix, add, [s])  # E_all*H*y, a chunk of H*y per table
     found: dict[Word, BurstPattern] = {}
     stats: dict[int, int] = {}
     for win, pivots, basis, offsets, mask in windows:
@@ -196,23 +205,31 @@ class _LinearDecoder(NamedTuple):
     (the solve rows, the first rank rows of E). cols holds H's tables,
     per column one per base-radix chunk of an element of y (_tables over
     its base-p digits for m > 1, over its bits for m = 1). rows holds
-    E_all's, every window's E stacked, one per byte of H*y: bit b of
-    lane k of row i stands for 2^b * p^k at row i. A decode adds one
-    entry per chunk of y for H*y (r*m lanes of w bits, add_s), then one
-    per byte of H*y for E_all*H*y (add). Going through H*y keeps the
-    tables linear in n: n position tables of E_all*H, each entry as wide
-    as E_all, would grow as n^2 (103 MiB against 5 MiB for an RS code
-    over GF(256) with n = 255, r = 6, tau = 4). lane masks one row's m
-    lanes, and index maps them to the element: the identity for p = 2
-    or m = 1, else the byte tables of the integers 2^b * p^k. windows
-    holds (window, pivots, canonical null basis of H_W, offsets, mask):
-    window t's rows take m lanes each from bit t*r*m*w of E_all*H*y,
-    offsets are its solve rows' and mask covers its annihilator rows.
+    E_all's, every window's E stacked, one per row_radix chunk of H*y.
+    For m = 1 and p <= 128 a chunk is the c = 8 // w whole lanes that
+    fit in a byte, and its table is indexed by their digits
+    (gf._outer_table with stride 2^w, so 2^(w*c) <= 256 entries; p
+    entries when c = 1), with no entry for a carry bit, which a stored
+    lane never sets (GF(13): five tables of 13 entries, not four of
+    256); for wider lanes, and for m > 1, a chunk is a byte of H*y,
+    where bit b of lane k of row i stands for 2^b * p^k at row i. A
+    decode adds one entry per chunk of y for H*y (r*m lanes of w bits,
+    add_s), then one per chunk of H*y for E_all*H*y (add). Going through
+    H*y keeps the tables linear in n: n position tables of E_all*H, each
+    entry as wide as E_all, would grow as n^2 (103 MiB against 5 MiB for
+    an RS code over GF(256) with n = 255, r = 6, tau = 4). lane masks
+    one row's m lanes, and index maps them to the element: the identity
+    for p = 2 or m = 1, else the byte tables of the integers 2^b * p^k.
+    windows holds (window, pivots, canonical null basis of H_W, offsets,
+    mask): window t's rows take m lanes each from bit t*r*m*w of
+    E_all*H*y, offsets are its solve rows' and mask covers its
+    annihilator rows.
     """
 
     radix: int
     cols: list
     rows: list
+    row_radix: int
     add_s: Callable
     add: Callable
     lane: int
@@ -241,12 +258,17 @@ def _linear_decoder(code: LinearCode, tau: int, phased: bool) -> _LinearDecoder:
         add_s, add = _packing(p, r * m)[1], _packing(p, len(e_all) * m)[1]
         base = p if m > 1 else 2
         cols = [_tables(add_s, images, base) for images in _images(ctx, h, code.n, base)]
-        # E_all's image of p^k at each row of H*y, lane by lane; bit b of a lane counts 2^b of it
+        # E_all's image of p^k at each row of H*y, lane by lane
         units = [x for col in _images(ctx, e_all, r, p) for x in col]
-        rows = _tables(add, [_times(add, x, 1 << b) for x in units for b in range(w)], 2)[0]
+        if m == 1 and w <= 8:  # c whole lanes per table, read by their digits
+            c = 8 // w
+            stride = 1 << w if c > 1 else p  # one lane reads digits below p only
+            rows = [_outer_table(add, units[k : k + c], p, stride) for k in range(0, len(units), c)], 1 << w * c
+        else:  # a byte per table; bit b of a lane counts 2^b of it
+            rows = _tables(add, [_times(add, x, 1 << b) for x in units for b in range(w)], 2)
         digits = _tables(operator.add, [p**k << b for k in range(m) for b in range(w)], 2)[0]
         index = int if p == 2 or m == 1 else lambda v: _apply([digits], 256, operator.add, [v])
-        dec = _LinearDecoder(cols[0][1], [t for t, _ in cols], rows, add_s, add, (1 << lane) - 1, index, windows)
+        dec = _LinearDecoder(cols[0][1], [t for t, _ in cols], *rows, add_s, add, (1 << lane) - 1, index, windows)
         code._window_tables[(tau, phased)] = dec
     return dec
 
@@ -363,7 +385,7 @@ def _scan_pure(tables, spans):
     return sum(buckets.values()), len(buckets), max_count, key(best)
 
 
-def _runs(np, keys, block=1 << 16):
+def _runs(np, keys, block=1 << 14):
     """(distinct keys, longest run, its key) of a sorted array, read a
     block at a time so that no temporary is longer than one block. A
     block's first run continues the run the block before ended with when
@@ -402,20 +424,29 @@ def _blocks(np, grids, block=1 << 12):
         yield [np.concatenate(ws) for ws in zip(*batch)]
 
 
+def _log_exp(np, ctx):
+    """(log, exp) as int64 arrays for scaling rows by generator powers:
+    log[0] is 2(q-1), and exp is ctx._exp twice and then q zeros, so
+    exp[log[x] + s] is x * generator^s for 0 <= s <= q - 1, 0 for x = 0."""
+    top = ctx.q - 1
+    log = np.array(ctx._log, np.int64)
+    log[0] = 2 * top
+    return log, np.array(ctx._exp * 2 + [0] * (top + 1), np.int64)
+
+
 def _row_keys(np, ctx, rows, per, scale):
     """The map from a grid (its k int64 words) to dense keys
     sum(row_i * q^i), each row's element index read from its m lanes.
     With scale, each nonzero syndrome S is first scaled by the inverse of
     its top nonzero row, which gives the smallest key of its class F*S,
     as keys compare the top row first; 0 stays 0. The scaling adds logs,
-    from tables of O(q) entries, in which a zero row has log 2(q-1) and
-    so reads exp's zero tail."""
+    from _log_exp's tables of O(q) entries. This read makes about nine
+    numpy passes per row; _chunk_keys makes about four per chunk of rows
+    but needs tables of 2^(m*w) entries or more per scale."""
     p, q, m, w = ctx.p, ctx.q, ctx.m, _width(ctx.p)
     top = q - 1
     if scale:
-        log = np.array(ctx._log, np.int64)
-        log[0] = 2 * top
-        exp = np.array(ctx._exp * 2 + [0] * (top + 1), np.int64)
+        log, exp = _log_exp(np, ctx)
 
     def lane(acc, j, count=1):  # lanes j .. j + count - 1, read as one field
         return acc[j // per] >> w * (j % per) & (1 << w * count) - 1
@@ -445,21 +476,85 @@ def _row_keys(np, ctx, rows, per, scale):
     return convert
 
 
+def _chunk_keys(np, ctx, rows, per, f, g):
+    """_row_keys' map for rows >= 1, read a chunk of g rows at a time from
+    two tables built once. A chunk is g rows of one word (a word's top
+    chunk may hold fewer), so its value v is below 2^(g*m*w). Row s of
+    table, s < f, holds each chunk's dense key with every row times
+    generator^s, and lead[v] is s << g*m*w for the s that scales v's top
+    nonzero row to 1 (0 for v = 0), so table[lead[v] + v'] is chunk v'
+    scaled by what scales v to its class's smallest member. A block reads
+    its scale from its top nonzero chunk, one gather and one where per
+    chunk, and then each chunk's key with one gather; with f = 1 the scale
+    is 0 and table is the unscaled keys. The tables hold (f + 1) *
+    2^(g*m*w) entries, and their build makes two more arrays at most as
+    large as table."""
+    p, q, m, w = ctx.p, ctx.q, ctx.m, _width(ctx.p)
+    top, bits, words = q - 1, g * m * w, per // m  # words: rows per int64 word
+    log, exp = _log_exp(np, ctx)
+    v = np.arange(1 << bits, dtype=np.int64)
+    lead, table, s = np.zeros_like(v), 0, np.arange(f)[:, None]
+    for j in range(g):
+        x = 0  # row j of each chunk value; no stored lane holds p or more, so reading lanes mod p changes none
+        for k in reversed(range(m * j, m * j + m)):
+            x = x * p + (v >> w * k & (1 << w) - 1) % p
+        lg = log[x]
+        lead = np.where(lg < top, -lg % top << bits, lead)  # the top nonzero row's is the last one written
+        table += exp[lg + s] * q**j
+    table = table.ravel()
+    # each chunk's first row, word by word, so that no chunk straddles two words
+    starts = [lo + c for lo in range(0, rows, words) for c in range(0, min(words, rows - lo), g)]
+    mask = (1 << bits) - 1
+
+    def chunk(acc, i):  # a word's first chunk needs no shift, and its top one no mask
+        word, c = divmod(i, words)
+        x = acc[word] >> m * w * c if c else acc[word]
+        return x & mask if c + g < min(words, rows - word * words) else x
+
+    def convert(acc):
+        chunks = [chunk(acc, i) for i in starts]
+        scale = 0
+        if f > 1:
+            scale = lead[chunks[0]]
+            for x in chunks[1:]:
+                scale = np.where(x != 0, lead[x], scale)
+        key = table[scale + chunks[0]]
+        for i, x in zip(starts[1:], chunks[1:]):
+            key += table[scale + x] * q**i
+        return key
+
+    return convert
+
+
+def _key_reader(np, ctx, rows, per, f, size):
+    """The map from a block of grids to their dense keys, scaled to their
+    class's smallest when f > 1: the table read (_chunk_keys) with the
+    most rows g per chunk, at most one word's, whose tables of
+    (f + 1) * 2^(g*m*w) entries are no more than the scan's size keys;
+    else the per-row read (_row_keys)."""
+    g, bits = min(rows, per // ctx.m), _width(ctx.p) * ctx.m
+    while g and (f + 1) << g * bits > size:
+        g -= 1
+    return _chunk_keys(np, ctx, rows, per, f, g) if g else _row_keys(np, ctx, rows, per, f > 1)
+
+
 def _scan_numpy(ctx, tables, spans):
     """_scan_pure's result by the same recursion on int64 arrays; None
     when numpy is missing or a key would not fit in int64 (q^rows >= 2^63).
 
-    The packed lanes are split into k words of 63 // w lanes, and the
-    grids are mapped to keys a block at a time (_blocks). With class size
-    f, a span's anchor column takes the digits 1 .. (q-1)/f, and the zero
-    burst's grid is the offsets. A k = 1 word with f = 1 sorts as its
-    dense key does and is stored raw, and only the winner is converted;
-    every other grid is read into dense keys by _row_keys, which scales
-    each to its class's smallest member when f > 1. Keys are stored as
-    uint32 when they fit in 32 bits (2^(w*lanes) raw, q^rows dense), else
-    as int64, sorted in place and counted by _runs a block at a time; the
-    result is rebuilt from the zero and nonzero keys with f (see the
-    module notes).
+    The packed lanes are split into k words of whole rows, 63 // (w*m)
+    rows each, and the grids are mapped to keys a block at a time
+    (_blocks). With class size f, a span's anchor column takes the digits
+    1 .. (q-1)/f, and the zero burst's grid is the offsets. A k = 1 word
+    with f = 1 sorts as its dense key does and is stored raw, and only the
+    winner is converted; every other grid is read into dense keys by the
+    read _key_reader picks for the scan's key count (the table read, or
+    the per-row read when its tables would outnumber the keys), which
+    scales each to its class's smallest member when f > 1. Keys are
+    stored as uint32 when they fit in 32 bits (2^(w*lanes) raw, q^rows
+    dense), else as int64, sorted in place and counted by _runs a block
+    at a time; the result is rebuilt from the zero and nonzero keys with
+    f (see the module notes).
     """
     offsets, tabs, lanes, _, key, f = tables
     p, q, w = ctx.p, ctx.q, _width(ctx.p)
@@ -469,7 +564,7 @@ def _scan_numpy(ctx, tables, spans):
         import numpy as np
     except ImportError:
         return None
-    per = 63 // w
+    per = 63 // (w * ctx.m) * ctx.m  # lanes per word: whole rows only
     add = _packing(p, per)[1]
     k, rows, digits = max(1, -(-lanes // per)), lanes // ctx.m, (q - 1) // f
     anchor = slice(1, 1 + digits)  # the digits of a span's first column
@@ -489,7 +584,7 @@ def _scan_numpy(ctx, tables, spans):
                 acc = [add(t[anchor if j == start else slice(None), None], a).ravel() for t, a in zip(tabs[j], acc)]
             yield acc
 
-    stored = (acc[0] for acc in grids()) if raw else map(_row_keys(np, ctx, rows, per, f > 1), _blocks(np, grids()))
+    stored = (acc[0] for acc in grids()) if raw else map(_key_reader(np, ctx, rows, per, f, size), _blocks(np, grids()))
     keys = np.empty(size, dtype=dtype)
     at = 0
     for grid in stored:

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import os
 import random
@@ -762,53 +763,30 @@ def paired_words_code(ctx, n):
     return ExplicitCode(ctx, n, tuple(words + [c[:2] + (rng.randrange(ctx.q),) + c[3:] for c in words]))
 
 
-@pytest.mark.parametrize(
-    "q,n,r,tau,phased,h,k,dtype",
-    [
-        (8, 7, 3, 3, True, "rs", 1, "uint32"),
-        (7, 6, 3, 3, False, "rs", 1, "uint32"),
-        (9, 8, 3, 2, False, "rs", 1, "uint32"),
-        (11, 10, 5, 4, False, "rs", 1, "uint32"),
-        (25, 24, 5, 3, False, "rs", 1, "uint32"),
-        (81, 10, 6, 2, False, "rs", 2, "int64"),
-        (27, 13, 8, 3, True, "rs", 2, "int64"),
-        (1009, 8, 6, 1, False, "rs", 2, "int64"),
-        (81, 12, 6, 2, False, "twice", 2, "int64"),
-        (5, 28, 27, 1, False, "twice", 2, "int64"),
-        (5, 4, None, 2, False, "ex1", 1, "uint32"),
-        (7, 6, 3, 2, True, "expanded", 1, "uint32"),
-        (1009, 6, None, 1, False, "random", 2, "int64"),
-        (1009, 12, 6, 1, False, "twice", 2, "int64"),
-        (3, 24, 12, 9, False, "twice", 1, "uint32"),
-        (25, 24, 8, 2, False, "rs", 2, "int64"),
-    ],
-    ids=[
-        "gf8-phased", "gf7", "gf9", "gf11-r5-tau4", "gf25-r5-tau3", "gf81-r6", "gf27-r8-phased", "gf1009-r6",
-        "gf81-repeated-columns", "gf5-r27", "ex1-gf5", "expanded-rs7-phased", "random-gf1009-n6",
-        "gf1009-repeated-columns", "gf3-twice-tau9", "gf25-r8",
-    ],
-)
-def test_numpy_scan_matches_pure(monkeypatch, q, n, r, tau, phased, h, k, dtype):
-    """The kernel on one int64 word (k = 1) and on k > 1 words; "twice"
-    is H = [I | I], whose buckets hold the bursts at j and j + r together.
-    Every grid but a one-word grid of class size 1 is read row by row
-    into dense keys; a linear code's are its scaling classes' keys.
-    Over GF(1009) its six 11-bit lanes take two words, and its largest
-    buckets have nonzero keys, which gf1009-r6's one-burst buckets lack.
-    GF(25) at r = 8 has 16 four-bit lanes at 15 per word, so its top row
-    straddles the two words. The explicit codes key by the n x n exchange
-    check, so GF(1009) at n = 6 has six lanes of 11 bits, one more than an
-    int64 word holds. Keys are stored as uint32 when they fit in 32 bits:
-    dense keys when q^rows <= 2^32, so GF(25) at r = 5 and GF(3) at r = 12,
-    whose packed words take 40 and 36 bits, count uint32 keys; raw keys
-    (one word, class size 1) when the packed word fits. GF(3) at tau = 9
-    counts 108,256 class keys, more than one counting block."""
-    pytest.importorskip("numpy", exc_type=ImportError)
-    stored = []
-    runs = listdec._runs
-    monkeypatch.setattr(listdec, "_runs", lambda np, keys: stored.append(keys.dtype.name) or runs(np, keys))
-    ctx = field_from_order(q)
-    code = {
+SCAN_CASES = {
+    "gf8-phased": (8, 7, 3, 3, True, "rs", 1, "uint32"),
+    "gf7": (7, 6, 3, 3, False, "rs", 1, "uint32"),
+    "gf9": (9, 8, 3, 2, False, "rs", 1, "uint32"),
+    "gf11-r5-tau4": (11, 10, 5, 4, False, "rs", 1, "uint32"),
+    "gf25-r5-tau3": (25, 24, 5, 3, False, "rs", 1, "uint32"),
+    "gf81-r6": (81, 10, 6, 2, False, "rs", 2, "int64"),
+    "gf27-r8-phased": (27, 13, 8, 3, True, "rs", 2, "int64"),
+    "gf1009-r6": (1009, 8, 6, 1, False, "rs", 2, "int64"),
+    "gf81-repeated-columns": (81, 12, 6, 2, False, "twice", 2, "int64"),
+    "gf5-r27": (5, 28, 27, 1, False, "twice", 2, "int64"),
+    "ex1-gf5": (5, 4, None, 2, False, "ex1", 1, "uint32"),
+    "expanded-rs7-phased": (7, 6, 3, 2, True, "expanded", 1, "uint32"),
+    "random-gf1009-n6": (1009, 6, None, 1, False, "random", 2, "int64"),
+    "gf1009-repeated-columns": (1009, 12, 6, 1, False, "twice", 2, "int64"),
+    "gf3-twice-tau9": (3, 24, 12, 9, False, "twice", 1, "uint32"),
+    "gf25-r8": (25, 24, 8, 2, False, "rs", 2, "int64"),
+}
+
+
+def scan_case_code(ctx, n, r, h):
+    """The code of a scan case; "twice" is H = [I | I], whose buckets hold
+    the bursts at j and j + r together."""
+    return {
         "rs": lambda: rs_code(ctx, n, r),
         "twice": lambda: LinearCode(
             ctx, n, Mat.from_rows(ctx, [[int(i == j % r) for j in range(n)] for i in range(r)])
@@ -817,15 +795,113 @@ def test_numpy_scan_matches_pure(monkeypatch, q, n, r, tau, phased, h, k, dtype)
         "expanded": lambda: expand(rs_code(ctx, n, r)),
         "random": lambda: paired_words_code(ctx, n),
     }[h]()
+
+
+def rows_per_word(ctx):
+    """The scan's whole rows of m lanes of gf._width(p) bits per int64 word."""
+    return 63 // (gf._packing(ctx.p, 1)[0] * ctx.m)
+
+
+@pytest.mark.parametrize("q,n,r,tau,phased,h,k,dtype", list(SCAN_CASES.values()), ids=list(SCAN_CASES))
+def test_numpy_scan_matches_pure(monkeypatch, q, n, r, tau, phased, h, k, dtype):
+    """The kernel on one int64 word (k = 1) and on k > 1 words. A word
+    holds whole rows only. Every grid but a one-word grid of class size 1
+    is read into dense keys; a linear code's are its scaling classes'
+    keys. Over GF(1009) its six 11-bit rows take two words of five, and
+    its largest buckets have nonzero keys, which gf1009-r6's one-burst
+    buckets lack. GF(25) at r = 8 has eight rows of two four-bit lanes at
+    seven rows per word, so its top word holds one row. The explicit
+    codes key by the n x n exchange check, so GF(1009) at n = 6 has six
+    rows, one more than an int64 word holds. Keys are stored as uint32
+    when they fit in 32 bits: dense keys when q^rows <= 2^32, so GF(25)
+    at r = 5 and GF(3) at r = 12, whose packed words take 40 and 36 bits,
+    count uint32 keys; raw keys (one word, class size 1) when the packed
+    word fits. GF(3) at tau = 9 counts 108,256 class keys, more than one
+    counting block."""
+    pytest.importorskip("numpy", exc_type=ImportError)
+    stored = []
+    runs = listdec._runs
+    monkeypatch.setattr(listdec, "_runs", lambda np, keys: stored.append(keys.dtype.name) or runs(np, keys))
+    ctx = field_from_order(q)
+    code = scan_case_code(ctx, n, r, h)
     rows = code.r if isinstance(code, LinearCode) else code.n
-    w = gf._packing(ctx.p, 1)[0]
-    assert max(1, -(-rows * ctx.m // (63 // w))) == k
+    assert max(1, -(-rows // rows_per_word(ctx))) == k
     spans = list(anchored_spans(BurstSpace(n, tau, phased)))
     tables = listdec._column_tables(code)
     fast = listdec._scan_numpy(ctx, tables, spans)
     assert stored == [dtype]
     assert fast == listdec._scan_pure(tables, spans)
     assert h != "random" or fast[2] == 2
+
+
+# the read each case's size rule picks: "table" when (f + 1) * 2^(m*w) entries
+# are no more than the scan's keys, "raw" for one word of class size 1
+KEY_READS = {
+    "gf8-phased": "table", "gf7": "table", "gf9": "row", "gf11-r5-tau4": "table", "gf25-r5-tau3": "table",
+    "gf81-r6": "row", "gf27-r8-phased": "row", "gf1009-r6": "row", "gf81-repeated-columns": "row",
+    "gf5-r27": "row", "ex1-gf5": "raw", "expanded-rs7-phased": "raw", "random-gf1009-n6": "table",
+    "gf1009-repeated-columns": "row", "gf3-twice-tau9": "table", "gf25-r8": "row",
+    "gf2": "raw", "gf7-r0": "row",
+}
+KEY_READ_CASES = {
+    **SCAN_CASES,
+    "gf2": (2, 12, 4, 3, False, "twice", 1, "uint32"),
+    "gf7-r0": (7, 6, 0, 2, False, "rs", 1, "uint32"),
+}
+
+
+@pytest.mark.parametrize("q,n,r,tau,phased,h,k,dtype", list(KEY_READ_CASES.values()), ids=list(KEY_READ_CASES))
+def test_key_reads_agree_block_by_block(monkeypatch, request, q, n, r, tau, phased, h, k, dtype):
+    """The table read (_chunk_keys) against the per-row read (_row_keys) on
+    each block the scan converts, at the g the size rule picks and at
+    every other g up to a word's rows whose tables hold at most 2^22
+    entries: a word's top chunk is narrower than the others whenever g
+    does not divide its rows, as at g = 5 over GF(3) at r = 12 or at g = 2
+    over GF(25) at r = 8 (seven rows per word). A one-word grid of class
+    size 1 is stored raw, so there both reads of class size 1 must give
+    gf._packing's key of each stored word: over GF(2) scaling is the
+    identity. At r = 0 every syndrome is empty and the per-row read makes
+    each key 0."""
+    np = pytest.importorskip("numpy", exc_type=ImportError)
+    ctx = field_from_order(q)
+    code = scan_case_code(ctx, n, r, h)
+    tables = listdec._column_tables(code)
+    rows, per, f = tables[2] // ctx.m, rows_per_word(ctx) * ctx.m, tables[5]
+    bits = gf._packing(ctx.p, 1)[0] * ctx.m
+    reads = [listdec._row_keys(np, ctx, rows, per, f > 1)] + [
+        listdec._chunk_keys(np, ctx, rows, per, f, g)
+        for g in range(1, min(rows, per // ctx.m) + 1)
+        if (f + 1) << g * bits <= 1 << 22
+    ]
+    picked, blocks, stored = [], [], []
+    pick, runs = listdec._key_reader, listdec._runs
+
+    def checked(np, ctx, rows, per, f, size):
+        convert = pick(np, ctx, rows, per, f, size)
+        picked.append(convert.__qualname__.split(".")[0])
+
+        def both(acc):
+            key = convert(acc)
+            for read in reads:
+                assert read(acc).tolist() == key.tolist()
+            blocks.append(key.size)
+            return key
+
+        return both
+
+    monkeypatch.setattr(listdec, "_key_reader", checked)
+    monkeypatch.setattr(listdec, "_runs", lambda np, keys: stored.append(keys) or runs(np, keys))  # the nonzero keys
+    spans = list(anchored_spans(BurstSpace(n, tau, phased)))
+    fast = listdec._scan_numpy(ctx, tables, spans)
+    assert fast == listdec._scan_pure(tables, spans)
+    want = KEY_READS[request.node.callspec.id]
+    assert picked == {"table": ["_chunk_keys"], "row": ["_row_keys"], "raw": []}[want]
+    if want == "raw":
+        words = [stored[0].astype(np.int64)]
+        assert f == 1 and all(read(words).tolist() == list(map(tables[4], stored[0].tolist())) for read in reads)
+    else:
+        assert sum(blocks) == 1 + (fast[0] - 1) // f  # every key went through every read
+    assert len(reads) > 1 or rows == 0
 
 
 @pytest.mark.parametrize(
@@ -868,11 +944,11 @@ def scan_linear_codes(draw):
     """H = M * [I | C] with its columns shuffled, M invertible (unit lower
     times upper triangular) and each column of C random, zero or a
     multiple of an earlier column, so that the zero bucket can win or tie.
-    For odd q the rows may overflow one int64 word of lanes (k = 2); over
-    GF(9) and GF(25) the top row then straddles the two words."""
+    For odd q the rows may overflow one int64 word of whole rows (k = 2),
+    so that the top word holds one row."""
     ctx = SCAN_FIELDS[draw(st.sampled_from(sorted(SCAN_FIELDS)))]
-    q, per = ctx.q, 63 // gf._width(ctx.p)
-    r = per // ctx.m + 1 if ctx.p > 2 and draw(st.booleans()) else draw(st.integers(1, 4))
+    q = ctx.q
+    r = rows_per_word(ctx) + 1 if ctx.p > 2 and draw(st.booleans()) else draw(st.integers(1, 4))
     extra = draw(st.integers(0, 4))
     tau = draw(st.integers(1, min(3, r + extra)))
     assume(count_bursts(q, r + extra, tau) <= 20000)
@@ -895,9 +971,15 @@ def scan_linear_codes(draw):
 def test_linear_scan_matches_pure_on_random_codes():
     """The numpy scan's whole tuple against the pure scan's on random
     linear codes over prime, 2^m and odd p^m fields, GF(2) among them,
-    where scaling is the identity."""
+    where scaling is the identity, read by both key reads."""
     pytest.importorskip("numpy", exc_type=ImportError)
     seen = set()
+    pick = listdec._key_reader
+
+    def reader(*args):
+        convert = pick(*args)
+        seen.add({"_chunk_keys": "table read", "_row_keys": "per-row read"}[convert.__qualname__.split(".")[0]])
+        return convert
 
     @settings(max_examples=300, deadline=None)
     @given(scan_linear_codes())
@@ -905,13 +987,15 @@ def test_linear_scan_matches_pure_on_random_codes():
         code, tau, phased = case
         spans = list(anchored_spans(BurstSpace(code.n, tau, phased)))
         tables = listdec._column_tables(code)
-        fast = listdec._scan_numpy(code.ctx, tables, spans)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(listdec, "_key_reader", reader)
+            fast = listdec._scan_numpy(code.ctx, tables, spans)
         assert fast == listdec._scan_pure(tables, spans)
         seen.add("zero bucket largest" if fast[3] == 0 else "class largest")  # only the zero syndrome has key 0
-        seen.add("two words" if tables[2] > 63 // gf._width(code.ctx.p) else "one word")
+        seen.add("two words" if code.r > rows_per_word(code.ctx) else "one word")
 
     check()
-    assert seen == {"zero bucket largest", "class largest", "two words", "one word"}
+    assert seen == {"zero bucket largest", "class largest", "two words", "one word", "table read", "per-row read"}
 
 
 def _runs_by_counter(values):
@@ -926,7 +1010,7 @@ def test_runs_match_counter(dtype, block):
     """_runs against a Counter on sorted arrays, with the block size
     passed in (None: the default)."""
     np = pytest.importorskip("numpy", exc_type=ImportError)
-    b = block or 1 << 16
+    b = block or inspect.signature(listdec._runs).parameters["block"].default
     top = (1 << 32) - 1 if dtype == "uint32" else 1 << 62
     rng = random.Random(b)
 
