@@ -55,16 +55,25 @@ chunk for the scale and one gather per chunk for the key. g is the
 largest whose (f + 1) * 2^(g*m*w) table entries are no more than the
 scan's keys; where even one row's are more (a linear code over
 GF(1009) or GF(2^16), ...), each row is read from its lanes and scaled
-by log and exp tables of O(q) entries. The scan only counts: the
-refutation witness comes from decode, run on the worst word y, whose
-syndrome is the smallest key of the largest bucket (J puts position 0
-in the top row, so for an explicit code y is the smallest word of the
-largest sum bucket).
+by log and exp tables of O(q) entries.
 
-Detection is tested window by window: a nonzero tau-burst difference of
-two codewords lies inside some window of tau consecutive positions. A
-linear code detects iff every window of tau columns of H has rank tau,
-which builds no decoder; an explicit code reads its decoder's windows.
+The scan also answers detection: a pair (c', e) with e != 0 lands in
+the bucket of a codeword's own key check*c exactly when c - c' = e is a
+burst, so the code detects the scan's bursts iff each offset's key
+occurs once (for a linear code, z == 1). The numpy scan counts the zero
+burst's stored keys in the sorted keys by two searchsorted calls; the
+pure scan reads them from its Counter. A phased scan misses the bursts
+that straddle two aligned windows, so only a phased certification asks
+detects_single_burst, which tests window by window: every window of tau
+columns of H must have rank tau, or an explicit code's codewords must
+stay distinct with the window's positions deleted.
+
+The worst word's syndrome is the smallest key of the largest bucket. A
+refuted linear code's witness is solved from it span by span, one
+solve_affine of H's columns per anchored span, so certification builds
+no decoder; an explicit code's comes from decode, run on the worst word
+y (J puts position 0 in the top row, so y is the smallest word of the
+largest sum bucket).
 """
 
 from __future__ import annotations
@@ -84,7 +93,7 @@ from .burst import (
 )
 from .codes import CodeHandle, ExplicitCode, LinearCode
 from .gf import _outer_table, _packing, _spread, _times, _width
-from .matpoly import _echelon, _null_basis_from_rref, _rref_rows, solve_affine, span_members
+from .matpoly import Mat, _echelon, _null_basis_from_rref, _rref_rows, solve_affine, span_members
 
 
 @dataclass
@@ -368,11 +377,13 @@ def _column_tables(code):
 
 
 def _scan_pure(tables, spans):
-    """(pairs, buckets, max bucket, its smallest key), counting the packed
-    key of every (codeword, burst) pair in enumeration order: the offsets
-    for the zero burst, then per anchored span the outer sum of its column
-    tables (the anchor's nonzero digits only) and the offsets, from the
-    last column back. Only the winner is converted, with key."""
+    """(pairs, buckets, max bucket, its smallest key, alone), counting the
+    packed key of every (codeword, burst) pair in enumeration order: the
+    offsets for the zero burst, then per anchored span the outer sum of its
+    column tables (the anchor's nonzero digits only) and the offsets, from
+    the last column back. Only the winner is converted, with key. alone
+    tells whether each offset's key occurs once: whether the code detects
+    the spans' bursts."""
     offsets, tabs, _, add, key, _ = tables
     buckets: Counter[int] = Counter()
     for start, width in [(0, 0), *spans]:  # the zero burst spans no column: its keys are the offsets
@@ -382,7 +393,8 @@ def _scan_pure(tables, spans):
         buckets.update(acc)
     max_count = max(buckets.values())
     best = min(s for s, v in buckets.items() if v == max_count)
-    return sum(buckets.values()), len(buckets), max_count, key(best)
+    alone = all(buckets[s] == 1 for s in offsets)
+    return sum(buckets.values()), len(buckets), max_count, key(best), alone
 
 
 def _runs(np, keys, block=1 << 14):
@@ -554,7 +566,8 @@ def _scan_numpy(ctx, tables, spans):
     stored as uint32 when they fit in 32 bits (2^(w*lanes) raw, q^rows
     dense), else as int64, sorted in place and counted by _runs a block
     at a time; the result is rebuilt from the zero and nonzero keys with
-    f (see the module notes).
+    f (see the module notes), and alone from the zero burst's grid, kept
+    before the sort and counted by two searchsorted calls.
     """
     offsets, tabs, lanes, _, key, f = tables
     p, q, w = ctx.p, ctx.q, _width(ctx.p)
@@ -592,12 +605,14 @@ def _scan_numpy(ctx, tables, spans):
         at += grid.size
     if at != keys.size:
         raise AssertionError("the span grids left syndrome keys unfilled")
+    own = keys[: offsets[0].size].copy()  # the zero burst's grid: each codeword's own key
     keys.sort()
+    alone = bool(np.all(np.searchsorted(keys, own, "right") - np.searchsorted(keys, own) == 1))
     z = int(np.searchsorted(keys, 1))
     classes, largest, best = _runs(np, keys[z:])
     zero = 1 + f * (z - 1) if z else 0
     best = 0 if zero >= largest else key(best) if raw else best
-    return 1 + f * (keys.size - 1), (z > 0) + f * classes, max(zero, largest), best
+    return 1 + f * (keys.size - 1), (z > 0) + f * classes, max(zero, largest), best, alone
 
 
 def max_list_size(
@@ -614,6 +629,14 @@ def max_list_size(
     one common word: the first candidates that decode returns for the
     worst word y, by codeword for an explicit code and by burst in
     enumeration order for a linear code.
+
+    The unphased scan answers detection; a phased one does not cover it,
+    and detects_single_burst answers instead. An unphased explicit code
+    thus skips detects_single_burst's "window deletion scan" cap check,
+    which changes no exit code: the scan's |C| * V check already passed,
+    and V is at least the number of windows. A linear code's witness is
+    solved span by span (_syndrome_bursts), so no decoder is built or
+    cached.
     """
     code = _as_code(code)
     ctx = code.ctx
@@ -630,29 +653,46 @@ def max_list_size(
         work = {"bursts": n_bursts, "pairs": code.size * n_bursts}
     spans = list(anchored_spans(space))
     tables = _column_tables(code)
-    pairs, work["buckets"], max_count, key = _scan_numpy(ctx, tables, spans) or _scan_pure(tables, spans)
+    pairs, work["buckets"], max_count, key, detects = _scan_numpy(ctx, tables, spans) or _scan_pure(tables, spans)
     if pairs != n_bursts * len(tables[0]):
         raise AssertionError("bucketed burst count disagrees with the closed form")
-    del tables  # the witness's decode builds its own tables
     witness = None
     if ell is not None and max_count > ell:
-        # y is any word whose syndrome under the check has the key's base-q
-        # digits; J*y is y reversed
-        digits = [key // ctx.q**i % ctx.q for i in range(code.r if linear else code.n)]
-        y = solve_affine(code.H, digits)[0] if linear else digits[::-1]
-        # limit covered the scan, so it also covers each window's q^tau
+        # the key's base-q digits are the worst word's syndrome under the
+        # check; limit covered the scan, so it also covers each span's q^tau
         # solutions and the |C| codewords that decode checks against it
-        found = decode(code, y, tau, phased, cap=limit).candidates
+        digits = [key // ctx.q**i % ctx.q for i in range(code.r if linear else code.n)]
         if linear:
             # re-anchored at the first burst, the witness is the bucket's
             # first ell+1 bursts in the order the scan enumerates them
-            pats = sorted(
-                (p for _, p in found), key=lambda p: (-1 if p.is_zero() else p.start, p.payload)
-            )
+            pats = _syndrome_bursts(code, digits, tau, spans, limit)[: ell + 1]
             y = pats[0].expand(code.n)
-            found = [(_word_sub(ctx, y, p.expand(code.n)), p) for p in pats[: ell + 1]]
-        witness = tuple(found[: ell + 1])
-    return CertReport(detects_single_burst(code, tau, cap), max_count, witness, work, ell)
+            witness = tuple((_word_sub(ctx, y, p.expand(code.n)), p) for p in pats)
+        else:  # J*y is y reversed
+            witness = tuple(decode(code, digits[::-1], tau, phased, cap=limit).candidates[: ell + 1])
+    if phased:
+        detects = detects_single_burst(code, tau, cap)
+    return CertReport(detects, max_count, witness, work, ell)
+
+
+def _syndrome_bursts(code: LinearCode, syndrome, tau: int, spans, limit) -> list[BurstPattern]:
+    """Every burst of the spans' space whose syndrome under H is this one,
+    in the scan's enumeration order: the zero burst when the syndrome is 0,
+    then per anchored span (start, width) the solutions u of H_span*u =
+    syndrome whose anchor entry u[0] is nonzero, by payload, each padded
+    with zeros to BurstPattern's width min(tau, n - start)."""
+    ctx, n = code.ctx, code.n
+    h = code.H.to_rows()
+    pats = [] if any(syndrome) else [BurstPattern.zero()]
+    for start, width in spans:
+        sol = solve_affine(Mat.from_rows(ctx, [row[start : start + width] for row in h], cols=width), syndrome)
+        if sol is None:
+            continue
+        particular, basis = sol
+        _caps.check("window solution set q^b", ctx.q ** len(basis), "SOLUTIONS", limit)
+        pad = (0,) * (min(tau, n - start) - width)
+        pats.extend(BurstPattern(start, u + pad) for u in sorted(span_members(ctx, particular, basis)) if u[0])
+    return pats
 
 
 def certify(code, tau: int, ell: int, cap: int | None = None) -> CertReport:

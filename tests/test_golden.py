@@ -28,7 +28,8 @@ def bounds(q, n, tau, ell, size):
 
 
 # file name -> (argv, exit code); "{ex7}" stands for the explicit RS GF(7) code
-# file and "{lin81}" for the linear GF(81) code file of lin81_code.
+# file, "{lin81}" for the linear GF(81) code file of lin81_code and "{rs7r0}" for
+# the file of `construct --kind rs --q 7 --n 6 --r 0`.
 RUNS = {
     "certify-rs16-r6.json": (certify_rs(16, 15, 6, 4, 2), 0),
     "certify-rs16-r5.json": (certify_rs(16, 15, 5, 4, 2), 3),
@@ -44,6 +45,9 @@ RUNS = {
     # 24 three-bit lanes, two int64 words per key; the worst word's syndrome
     # is a multiple of column 3 whose top row is 1, not column 3 itself
     "refute-lin81-r6.json": (["certify", "--code", "{lin81}", "--tau", "2", "--ell", "1"], 3),
+    # r = 0: the code is all of GF(7)^6, so it detects no burst and every
+    # syndrome is 0; the witness is the zero burst and the first 2-burst
+    "refute-rs7-r0.json": (["certify", "--code", "{rs7r0}", "--tau", "2", "--ell", "1"], 3),
     "reproduce-example1.json": (["reproduce", "example1"], 0),
     "reproduce-example2.json": (["reproduce", "example2"], 0),
     "reproduce-rs_grid.json": (["reproduce", "rs_grid"], 0),
@@ -91,6 +95,7 @@ def code_paths(tmp_path_factory):
     codes = {
         "{ex7}": code_to_dict(expand(rs_code(field_from_order(7), 6, 3)), "ex7", {"q": 7, "n": 6, "r": 3}),
         "{lin81}": code_to_dict(lin81_code(), "lin81", {"q": 81, "n": 11, "r": 6}),
+        "{rs7r0}": code_to_dict(rs_code(field_from_order(7), 6, 0), "rs", {"q": 7, "n": 6, "r": 0}),
     }
     folder = tmp_path_factory.mktemp("golden")
     for name, code in codes.items():

@@ -595,20 +595,16 @@ def test_window_tables_are_keyed_by_tau_and_phase():
                 assert detects_single_burst(code, t) == detects_single_burst(make(), t)
 
 
-def test_certify_builds_a_decoder_only_to_refute(fields):
-    """Detection of a linear code reads window ranks, so a decodable
-    certify caches nothing; a refuted one decodes its worst word and
-    caches one decoder under (tau, False), whose windows keep no E rows
-    (each entry is the window, pivots, basis, offsets and mask)."""
+def test_linear_certify_caches_no_decoder(fields):
+    """A linear certify reads detection off its scan and solves a refuted
+    code's witness span by span, so it caches nothing on the code, whether
+    the code is decodable or refuted, plain or phased."""
     ctx, tau = fields[7], 2
     good = rs_code(ctx, 6, 4)
     assert certify(good, tau, 1).decodable and good._window_tables == {}
     bad = rs_code(ctx, 6, 2)
-    assert certify(bad, tau, 1).decodable is False
-    ((key, dec),) = bad._window_tables.items()
-    assert key == (tau, False) and isinstance(dec, listdec._LinearDecoder)
-    for win, pivots, basis, offsets, mask in dec.windows:
-        assert len(offsets) == len(pivots) and all(len(v) == len(win) for v in basis)
+    assert certify(bad, tau, 1).decodable is False and bad._window_tables == {}
+    assert max_list_size(bad, tau, phased=True, ell=1).witness is not None and bad._window_tables == {}
 
 
 # -- the numpy scan kernel against the pure-Python scan ---------------------
@@ -910,13 +906,13 @@ def test_key_reads_agree_block_by_block(monkeypatch, request, q, n, r, tau, phas
         # the largest class {(2, 1), (4, 2), (1, 3), (3, 4)} (rows low to high)
         # holds columns 0 and 1; its smallest key, 2 + 1*5 = 7, has top row 1,
         # while scaling its lowest row to 1 gives (1, 3), key 16
-        (5, [(2, 1), (2, 1), (1, 0), (0, 1)], None, (17, 13, 2, 7)),
+        (5, [(2, 1), (2, 1), (1, 0), (0, 1)], None, (17, 13, 2, 7, True)),
         # column 0 is zero, so the zero bucket holds 1 + 2 * 1 = 3 bursts, as
         # many as the class of (1, 0), which holds columns 1, 2 and 3
-        (3, [(0, 0), (1, 0), (1, 0), (2, 0), (0, 1)], None, (11, 5, 3, 0)),
+        (3, [(0, 0), (1, 0), (1, 0), (2, 0), (0, 1)], None, (11, 5, 3, 0, False)),
         # an explicit code, f = 1: the zero word is 00 + 00, 10 + 20 and
         # 01 + 02, and no other sum is reached three times
-        (3, None, [(0, 0), (1, 0), (0, 1)], (15, 8, 3, 0)),
+        (3, None, [(0, 0), (1, 0), (0, 1)], (15, 8, 3, 0, False)),
     ],
     ids=["orbit-minimum", "zero-bucket-ties", "explicit-zero-bucket-largest"],
 )
@@ -924,7 +920,9 @@ def test_scan_rebuilds_the_buckets(q, columns, words, want):
     """The numpy scan counts a linear code's anchor-1 bursts by scaling
     class and an explicit code's pairs one by one, and rebuilds (pairs,
     buckets, max bucket, its smallest key) from its zero and nonzero keys
-    with the class size f."""
+    with the class size f. Its last field tells whether each codeword's
+    own key occurs once: a zero column, or two codewords a 1-burst apart,
+    makes it False."""
     pytest.importorskip("numpy", exc_type=ImportError)
     ctx = field_from_order(q)
     if words is None:
@@ -996,6 +994,99 @@ def test_linear_scan_matches_pure_on_random_codes():
 
     check()
     assert seen == {"zero bucket largest", "class largest", "two words", "one word", "table read", "per-row read"}
+
+
+def test_scan_detection_matches_detects_single_burst():
+    """The unphased scan answers detection, with numpy and with numpy
+    blocked, and never asks detects_single_burst: on random linear codes
+    with zero and repeated columns and on random explicit codes, its
+    answer equals detects_single_burst's."""
+    seen = set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(scan_linear_codes(), nonlinear_codes()))
+    def check(case):
+        code, tau, _ = case
+        want = detects_single_burst(code, tau)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(listdec, "detects_single_burst", None)
+            fast = max_list_size(code, tau)
+            mp.setitem(sys.modules, "numpy", None)
+            pure = max_list_size(code, tau)
+        assert fast.detects == pure.detects == want
+        seen.add((type(code).__name__, want))
+
+    check()
+    assert seen == {(kind, verdict) for kind in ("LinearCode", "ExplicitCode") for verdict in (True, False)}
+
+
+def test_phased_scan_does_not_answer_detection(fields):
+    """Over GF(2) with H rows 1000, 0110 and 0001, columns 1 and 2 are
+    equal, so 0110 is a 2-burst codeword; but it crosses the aligned
+    windows [0, 2) and [2, 4), so the phased scan's zero bucket holds only
+    the zero burst. A phased certify must still report no detection."""
+    ctx = fields[2]
+    code = LinearCode(ctx, 4, Mat.from_rows(ctx, [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]]))
+    tables = listdec._column_tables(code)
+    phased = list(anchored_spans(BurstSpace(4, 2, True)))
+    assert listdec._scan_pure(tables, phased)[4] and not detects_single_burst(code, 2)
+    assert listdec._scan_numpy(ctx, tables, phased) in (None, listdec._scan_pure(tables, phased))
+    for blocked in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            if blocked:
+                mp.setitem(sys.modules, "numpy", None)
+            assert max_list_size(code, 2, phased=True).detects is False
+            assert max_list_size(code, 2).detects is False
+
+
+def decode_witness(code, tau, phased, ell):
+    """A linear code's refutation witness by decode, as certification
+    built it with a decoder: the pure scan's winning key read as a
+    syndrome, a word y with that syndrome from solve_affine, every burst
+    that decode(y) returns sorted by (start, payload) with the zero burst
+    first, re-anchored at the first; None when no bucket exceeds ell."""
+    ctx = code.ctx
+    spans = list(anchored_spans(BurstSpace(code.n, tau, phased)))
+    _, _, most, key, _ = listdec._scan_pure(listdec._column_tables(code), spans)
+    if most <= ell:
+        return None
+    y = solve_affine(code.H, [key // ctx.q**i % ctx.q for i in range(code.r)])[0]
+    pats = sorted(
+        (p for _, p in decode(code, y, tau, phased).candidates), key=lambda p: (-1 if p.is_zero() else p.start, p.payload)
+    )
+    y = pats[0].expand(code.n)
+    return tuple((_word_sub(ctx, y, p.expand(code.n)), p) for p in pats[: ell + 1])
+
+
+def test_span_witness_matches_decode_witness():
+    """A refuted linear code's witness, solved span by span, equals the
+    decode-based one on random codes, plain and phased: full-rank H with r
+    = 0 included and codes with zero and repeated columns, where windows
+    wider than their rank give spans with a null basis."""
+    seen = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(small_linear_codes().flatmap(lambda c: st.tuples(*map(st.just, c), st.booleans())), scan_linear_codes()),
+        st.integers(1, 3),
+    )
+    def check(case, ell):
+        code, tau, phased = case
+        rep = max_list_size(code, tau, phased=phased, ell=ell)
+        assert rep.witness == decode_witness(code, tau, phased, ell)
+        if rep.witness is None:
+            return
+        assert replay_witness(code, rep.witness, tau, phased)
+        seen.update({("refuted", ell), "phased" if phased else "plain"})
+        if code.r == 0:
+            seen.add("r=0")
+        if rep.witness[0][1].is_zero():
+            seen.add("key 0")
+        if not detects_single_burst(code, tau):
+            seen.add("non-detecting")
+
+    check()
+    assert seen == {("refuted", 1), ("refuted", 2), ("refuted", 3), "phased", "plain", "r=0", "key 0", "non-detecting"}
 
 
 def _runs_by_counter(values):
