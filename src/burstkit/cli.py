@@ -384,9 +384,12 @@ def _reproduce_resultant_grid(seed: int, count: int) -> list[dict]:
             ell = rng.randint(1, 3)
             r = rng.randint(ell + 1, min(10, ctx.q - 2))
             inst = sample_instance(ctx, rng, ell, r)
-            if det_stacked(inst) != det_product_form(inst):
+            det = det_stacked(inst)
+            if det != det_product_form(inst):
                 mismatches += 1
-            if (find_kernel_relation(inst) is None) != (find_ratio_collision(inst) is None):
+            # a nonzero determinant rules a relation out; a zero one must yield one
+            rel = find_kernel_relation(inst) if det == 0 else None
+            if (det == 0 and rel is None) or (rel is None) != (find_ratio_collision(inst) is None):
                 equiv_breaks += 1
         checks.append(
             _check(

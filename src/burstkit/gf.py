@@ -394,12 +394,15 @@ class FieldCtx:
         """Least d >= 1 with a^d = 1; always divides q - 1."""
         if a == 0:
             raise ValueError("the zero element has no multiplicative order")
-        return (self.q - 1) // math.gcd(self.q - 1, self._log[a])
+        return (self.q - 1) // math.gcd(self.q - 1, self.log(a))
 
     def log(self, a: Fe) -> int:
-        """Discrete log of a nonzero element with respect to the generator."""
+        """Discrete log of a nonzero element with respect to the generator.
+        An index outside [0, q) is refused, not read modulo the table."""
         if a == 0:
             raise ValueError("zero has no discrete logarithm")
+        if not 0 < a < self.q:
+            raise ValueError(f"{a} is not an element of {self!r}")
         return self._log[a]
 
     def elements(self) -> range:

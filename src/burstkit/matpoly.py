@@ -8,7 +8,9 @@ few hundred rows). One forward elimination gives the determinant (the
 signed pivot product) and the rank (the pivot count); one
 back-substitution pass on top of it gives the reduced forms: RREF, null
 spaces and affine solves; a null space is [] straight after the forward
-pass when every column pivots. Every multiply-add over a row runs on
+pass when every column pivots. The first left-kernel vector alone needs
+no RREF: the forward pass stops at the first free column, and a
+triangular solve finishes it. Every multiply-add over a row runs on
 the field's row kernel ctx.axpy(f, xs, ys) = [x + f*y]: the row updates
 of both passes, poly_add, poly_mul, poly_divmod, mat_mul, mat_vec (a
 sum of scaled columns), span_members and poly_from_roots, where
@@ -283,6 +285,43 @@ def null_space(m: Mat) -> list[list[Fe]]:
 def left_null_space(m: Mat) -> list[list[Fe]]:
     """Canonical basis of {u : u m = 0}."""
     return null_space(m.transpose())
+
+
+def _first_left_null(m: Mat) -> list[Fe] | None:
+    """left_null_space(m)[0], or None when that basis is empty, with no RREF.
+
+    The forward elimination of m's transpose stops at its first free
+    column f. Columns 0..f-1 have pivoted on rows 0..f-1 in order, so
+    those rows hold an upper triangular f x f block U, and column f is 0
+    below row f-1. The canonical basis vector of f is 1 at f and 0 past
+    it (every later pivot row of the RREF is 0 in column f), so its first
+    f entries v solve U v = -(column f), one back substitution.
+    """
+    ctx = m.ctx
+    mul, axpy, neg = ctx.mul, ctx.axpy, ctx.neg
+    rows = m.transpose()._rows
+    for f in range(m.rows):
+        sel = None  # one pass: the first row nonzero in column f pivots, and clears the rest
+        for i in range(f, len(rows)):
+            if rows[i][f]:
+                if sel is None:
+                    sel, prow = i, rows[i]
+                    neg_inv = neg(ctx.inv(prow[f]))
+                else:
+                    rows[i] = axpy(mul(rows[i][f], neg_inv), rows[i], prow)
+        if sel is None:
+            break
+        rows[f], rows[sel] = prow, rows[f]
+    else:
+        return None
+    v = [0] * m.rows
+    v[f] = 1
+    b = [row[f] for row in rows[:f]]  # U v + b = 0, solved from the last entry up
+    for j in reversed(range(f)):
+        v[j] = x = neg(ctx.div(b[j], rows[j][j]))
+        if x:
+            b[:j] = axpy(x, b[:j], [row[j] for row in rows[:j]])
+    return v
 
 
 def solve_affine(a: Mat, b) -> tuple[list[Fe], list[list[Fe]]] | None:

@@ -12,16 +12,22 @@ beta_k / beta_i is a power alpha^t with -mu_i < t < mu_k. For two
 blocks the stacked matrix is the Sylvester arrangement and the
 determinant is the classical resultant.
 
-Nothing here multiplies polynomials: every quantity is read off the
-gap table d[j] = log(alpha^j - 1), 1 <= j < r, which exists because
-order(alpha) >= r. A block's coefficients come from the q-binomial
-theorem, each one a running log sum over d, and all bands of the
-stacked matrix share one table. The closed form's constant is one
+No block is built by multiplying polynomials: the blocks and the
+closed form are read off the gap table d[j] = log(alpha^j - 1),
+1 <= j < r, which exists because order(alpha) >= r. A block's
+coefficients come from the q-binomial theorem, each one a running log
+sum over d, and all bands of the stacked matrix share one table. The closed form's constant is one
 discrete-log sum over alpha^t - alpha^s = alpha^s (alpha^(t-s) - 1),
 taken from prefix sums of d. Its cross-block factors
 beta_k alpha^s - beta_i alpha^t = beta_i alpha^t (gamma alpha^(s-t) - 1),
 gamma = beta_k / beta_i, depend on (s, t) only through the gap s - t,
 so each block pair is one log sum with a multiplicity per gap.
+
+The direct determinant takes the remainders of the other blocks' rows
+modulo the widest block's monic polynomial and eliminates only the
+tau_k x tau_k matrix they form. The kernel relation stops the
+elimination of the transposed stack at its first free column and reads
+the vector off one triangular solve.
 
 Everything here is certified by evaluation over the finite field; no
 symbolic computation is performed.
@@ -38,9 +44,9 @@ from .gf import Fe, FieldCtx
 from .matpoly import (
     Mat,
     Poly,
+    _echelon,
+    _first_left_null,
     _wrap,
-    determinant,
-    left_null_space,
     poly_add,
     poly_mul,
     poly_trim,
@@ -111,12 +117,9 @@ def _log_gaps(ctx: FieldCtx, alpha: Fe, k: int) -> list[int]:
     """The gap table: d[j] = log(alpha^j - 1) for 1 <= j < k, and d[0] = 0.
     Every entry exists while k <= order(alpha); an instance has
     order(alpha) >= r, so k = r always works."""
-    log, add, mul, m1 = ctx.log, ctx.add, ctx.mul, ctx.neg(1)
-    d, a = [0], 1
-    for _ in range(1, k):
-        a = mul(a, alpha)
-        d.append(log(add(a, m1)))
-    return d
+    log, exp, add, m1 = ctx._log, ctx._exp, ctx.add, ctx.neg(1)
+    la, n1 = log[alpha], ctx.q - 1
+    return [0, *(log[add(exp[j * la % n1], m1)] for j in range(1, k))]
 
 
 def _run_coeffs(ctx: FieldCtx, d: list[int], alpha: Fe, beta: Fe, tau: int) -> list[Fe]:
@@ -125,12 +128,12 @@ def _run_coeffs(ctx: FieldCtx, d: list[int], alpha: Fe, beta: Fe, tau: int) -> l
     x^(tau-k) is (-1)^k e_k with e_k = beta^k alpha^C(k,2) [tau choose k]_alpha,
     so e_k / e_(k-1) = beta alpha^(k-1) (alpha^(tau-k+1) - 1) / (alpha^k - 1),
     and the log of each coefficient is a running sum over d."""
-    la, step = ctx.log(alpha), ctx.log(beta) + ctx.log(ctx.neg(1))
-    pw, gen = ctx.pow, ctx.generator
+    log, exp, n1 = ctx._log, ctx._exp, ctx.q - 1
+    la, step = log[alpha], log[beta] + log[ctx.neg(1)]
     e, out = 0, [1]
     for k in range(1, tau + 1):
         e += step + (k - 1) * la + d[tau - k + 1] - d[k]
-        out.append(pw(gen, e))
+        out.append(exp[e % n1])
     out.reverse()
     return out
 
@@ -159,15 +162,62 @@ def _blocks(inst: ResultantInstance) -> list[list[Fe]]:
     return [_run_coeffs(ctx, d, alpha, b, r - m) for b, m in zip(inst.beta, inst.mu)]
 
 
-def stacked_matrix(inst: ResultantInstance) -> Mat:
-    """The r x r stack of all block band matrices."""
-    rows = [row for coeffs, m in zip(_blocks(inst), inst.mu) for row in _band_rows(coeffs, m)]
+def _stack(inst: ResultantInstance, blocks: list[list[Fe]]) -> Mat:
+    """The stacked matrix of already built blocks."""
+    rows = [row for coeffs, m in zip(blocks, inst.mu) for row in _band_rows(coeffs, m)]
     return _wrap(inst.ctx, rows, inst.r)
 
 
+def stacked_matrix(inst: ResultantInstance) -> Mat:
+    """The r x r stack of all block band matrices."""
+    return _stack(inst, _blocks(inst))
+
+
 def det_stacked(inst: ResultantInstance) -> Fe:
-    """The determinant, computed directly by elimination."""
-    return determinant(stacked_matrix(inst))
+    """det S for the stacked matrix S, by elimination of a tau_k x tau_k matrix.
+
+    Let k be the first block of the largest mu, M = M_k (monic of degree
+    tau_k) and R_k = mu_0 + ... + mu_(k-1). Every polynomial P of degree
+    < r is A*M + B with deg A < mu_k and deg B < tau_k, both unique. Let
+    Q be the r x r matrix with rows x^h M (h < mu_k) and then x^j
+    (j < tau_k), and C the matrix whose row for row P of S is
+    (A's coefficients, B's coefficients): then S = C*Q.
+    - det Q = (-1)^(mu_k tau_k): moving the tau_k unit rows above the
+      band rows takes mu_k*tau_k transpositions and leaves a block lower
+      triangular matrix whose diagonal blocks are I and the columns
+      tau_k.. of the band rows, which are lower unitriangular because M
+      is monic.
+    - Row h of block k has A = x^h and B = 0. Moving those mu_k rows of C
+      to the top passes R_k rows and leaves [[I, 0], [*, T]], with T the
+      tau_k x tau_k matrix of the other rows' remainders in stacked
+      order, so det C = (-1)^(mu_k R_k) det T.
+    Hence det S = (-1)^(mu_k (R_k + tau_k)) det T. Every remainder is
+    reached by steps rem -> x*rem + c mod M, each one shift and, when
+    the shifted-out coefficient is nonzero, one axpy of M: from M_i's
+    top tau_k coefficients, the s = tau_i + 1 - tau_k coefficients below
+    them (Horner's rule, a long division) give M_i mod M, and mu_i - 1
+    more steps with c = 0 give the next rows, mu_k steps per block.
+    """
+    ctx, mu = inst.ctx, inst.mu
+    axpy, neg = ctx.axpy, ctx.neg
+    blocks = _blocks(inst)
+    k = mu.index(max(mu))
+    monic = blocks[k]
+    tk, low = len(monic) - 1, monic[:-1]
+    rows = []
+    for i, (coeffs, m) in enumerate(zip(blocks, mu)):
+        if i == k:
+            continue
+        s = len(coeffs) - tk  # M_i = x^s * (its top tk coefficients) + (the s below)
+        rem, states = coeffs[s:], []
+        for c in coeffs[s - 1 :: -1] + [0] * (m - 1):
+            top, rem = rem[-1], [c, *rem[:-1]]
+            if top:
+                rem = axpy(neg(top), rem, low)
+            states.append(rem)
+        rows += states[s - 1 :]
+    det = _echelon(ctx, rows, tk)[1]
+    return neg(det) if mu[k] * (sum(mu[:k]) + tk) % 2 else det
 
 
 def leading_constant(ctx: FieldCtx, alpha: Fe, mu) -> Fe:
@@ -189,7 +239,7 @@ def leading_constant(ctx: FieldCtx, alpha: Fe, mu) -> Fe:
     r = sum(mu)
     if alpha == 0 or ctx.order(alpha) < r:
         raise ValueError(f"alpha must have multiplicative order at least r = {r}")
-    la = ctx.log(alpha)
+    la = ctx._log[alpha]
     D = list(accumulate(_log_gaps(ctx, alpha, r), initial=0))
 
     def diffs(m, lo, hi):  # log prod (alpha^t - alpha^s) over s < m, lo <= t < hi, s < t
@@ -202,7 +252,7 @@ def leading_constant(ctx: FieldCtx, alpha: Fe, mu) -> Fe:
     total = la * sum(m * math.comb(r - m, 2) for m in mu) - 2 * diffs(r, 0, r)
     for m in mu:
         total += 2 * diffs(m, 0, m) + diffs(m, m, r)
-    return ctx.pow(ctx.generator, total)
+    return ctx._exp[total % (ctx.q - 1)]
 
 
 def det_product_form(inst: ResultantInstance) -> Fe:
@@ -217,19 +267,19 @@ def det_product_form(inst: ResultantInstance) -> Fe:
     ratio collision, and then the result is 0 at once.
     """
     ctx, alpha, mu = inst.ctx, inst.alpha, inst.mu
-    log, add, pw, gen, m1 = ctx.log, ctx.add, ctx.pow, ctx.generator, ctx.neg(1)
-    la = log(alpha)
-    logs = [log(b) for b in inst.beta]
+    log, exp, add, m1, n1 = ctx._log, ctx._exp, ctx.add, ctx.neg(1), ctx.q - 1
+    la = log[alpha]
+    logs = [log[b] for b in inst.beta]
     total = 0
     for i, k in combinations(range(len(mu)), 2):
         mi, mk, lg = mu[i], mu[k], logs[k] - logs[i]
         total += mi * mk * logs[i] + mi * math.comb(mk, 2) * la
         for g in range(1 - mk, mi):
-            y = add(pw(gen, lg + g * la), m1)
+            y = add(exp[(lg + g * la) % n1], m1)
             if not y:
                 return 0
-            total += (min(mi, mk + g) - max(0, g)) * log(y)
-    return ctx.mul(leading_constant(ctx, alpha, mu), pw(gen, total))
+            total += (min(mi, mk + g) - max(0, g)) * log[y]
+    return ctx.mul(leading_constant(ctx, alpha, mu), exp[total % n1])
 
 
 def find_ratio_collision(inst: ResultantInstance) -> tuple[int, int, int] | None:
@@ -237,9 +287,9 @@ def find_ratio_collision(inst: ResultantInstance) -> tuple[int, int, int] | None
     for the first ordered pair (i, k) that has one, or None. A pair has at
     most one t: two would differ by less than mu_i + mu_k <= r <= order(alpha).
     Compares discrete logs: t log(alpha) = log(beta_k) - log(beta_i) mod q - 1."""
-    n1 = inst.ctx.q - 1
-    la = inst.ctx.log(inst.alpha)
-    logs = [inst.ctx.log(b) for b in inst.beta]
+    n1, log = inst.ctx.q - 1, inst.ctx._log
+    la = log[inst.alpha]
+    logs = [log[b] for b in inst.beta]
     for i, k in permutations(range(inst.ell + 1), 2):
         ratio = (logs[k] - logs[i]) % n1
         for t in range(1 - inst.mu[i], inst.mu[k]):
@@ -249,16 +299,18 @@ def find_ratio_collision(inst: ResultantInstance) -> tuple[int, int, int] | None
 
 
 def find_kernel_relation(inst: ResultantInstance) -> RelationWitness | None:
-    """A nonzero left-kernel vector of the stacked matrix, reassembled
-    into the block polynomials u_i; None iff the matrix is nonsingular.
-    The returned relation is re-verified by verify_relation."""
-    a = stacked_matrix(inst)
-    basis = left_null_space(a)
-    if not basis:
+    """The first canonical left-kernel basis vector of the stacked matrix,
+    left_null_space(stacked_matrix(inst))[0], reassembled into the block
+    polynomials u_i; None iff the matrix is nonsingular. The elimination
+    stops at the first row of the matrix that depends on the rows above
+    it, and a triangular solve gives the vector. The relation is replayed
+    by polynomial products on the same blocks that built the matrix."""
+    blocks = _blocks(inst)
+    u = _first_left_null(_stack(inst, blocks))
+    if u is None:
         return None
-    u = basis[0]
     witness = RelationWitness(tuple(poly_trim(u[e - m : e]) for m, e in zip(inst.mu, inst.prefix_sums)))
-    if not verify_relation(inst, witness):
+    if not _replays(inst, witness, blocks):
         raise AssertionError("left-kernel vector is not a nonzero relation")
     return witness
 
@@ -266,13 +318,18 @@ def find_kernel_relation(inst: ResultantInstance) -> RelationWitness | None:
 def verify_relation(inst: ResultantInstance, witness: RelationWitness) -> bool:
     """Independent replay: degree constraints, not all zero, and
     sum_i u_i * M_i = 0 by polynomial products, not the stacked matrix."""
+    return _replays(inst, witness, _blocks(inst))
+
+
+def _replays(inst: ResultantInstance, witness: RelationWitness, blocks: list[list[Fe]]) -> bool:
+    """verify_relation's test, with M_i given as blocks[i]."""
     ctx = inst.ctx
     if len(witness.polys) != inst.ell + 1:
         return False
     if all(p == () for p in witness.polys):
         return False
     total: Poly = ()
-    for u_i, m_i, coeffs in zip(witness.polys, inst.mu, _blocks(inst)):
+    for u_i, m_i, coeffs in zip(witness.polys, inst.mu, blocks):
         if len(u_i) > m_i:
             return False
         total = poly_add(ctx, total, poly_mul(ctx, u_i, coeffs))

@@ -249,6 +249,11 @@ def test_element_order_examples(fields):
         f16.pow(0, -1)
     with pytest.raises(ValueError, match="^zero has no discrete logarithm$"):
         f16.log(0)
+    # an index outside [0, q) is refused, not read modulo the log table
+    for a in (-1, 16, 20):
+        for method in (f16.log, f16.order):
+            with pytest.raises(ValueError, match=rf"^{a} is not an element of GF\(16\)$"):
+                method(a)
 
 
 def _all_small_fields(limit=256):

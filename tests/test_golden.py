@@ -79,6 +79,14 @@ RUNS = {
     "resultant-witness-kernel5.json": (
         ["resultant", "--q", "16", "--alpha", "2", "--mu", "2,2,2,2", "--beta", "1,2,1,2", "--witness"], 0
     ),
+    # odd p^m, r = 10: the widest block is the last one, and beta_3 = beta_1 * alpha^2
+    "resultant-witness-gf81.json": (
+        ["resultant", "--q", "81", "--alpha", "3", "--mu", "2,3,1,4", "--beta", "1,5,7,45", "--witness"], 0
+    ),
+    # ell = 3, r = 10, the widest blocks tie (0 and 2); beta_2 = beta_0 * alpha^-2
+    "resultant-both-gf81.json": (
+        ["resultant", "--q", "81", "--alpha", "7", "--mu", "3,2,3,2", "--beta", "4,9,15,2", "--mode", "both"], 0
+    ),
 }
 
 

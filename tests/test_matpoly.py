@@ -21,7 +21,7 @@ from burstkit import (
     solve_affine,
     vandermonde,
 )
-from burstkit.matpoly import NEG_INF, left_null_space, mat_vec, poly_degree, poly_trim, span_members
+from burstkit.matpoly import NEG_INF, _first_left_null, left_null_space, mat_vec, poly_degree, poly_trim, span_members
 
 
 def test_poly_ring_examples(fields):
@@ -301,6 +301,30 @@ def test_null_spaces_are_empty_exactly_at_full_column_rank(fields):
         kinds.add((basis == [], (m.rows > m.cols) - (m.rows < m.cols)))
     # (empty, tall - wide): a wide matrix never has full column rank
     assert kinds == {(True, 0), (True, 1), (False, -1), (False, 0), (False, 1)}
+
+
+def test_first_left_null_is_the_first_canonical_left_kernel_vector(fields):
+    """_first_left_null against left_null_space(m)[0]: the oracle
+    matrices, and products A*B with inner size k below both sides, so
+    that the rank falls 0-3 short of full on square, tall and wide shapes
+    (0-row ones included) over prime, 2^m and odd p^m fields."""
+    cases = list(oracle_matrices(fields))
+    rng = random.Random(29)
+    for q in (2, 3, 4, 9, 13, 16):
+        f = fields[q]
+        for rows, cols in [(0, 0), (0, 4), (3, 0), (5, 5), (8, 8), (6, 9), (9, 6), (1, 7), (7, 1)]:
+            for short in range(4):
+                k = max(min(rows, cols) - short, 0)
+                a = Mat(f, rows, k, [rng.randrange(q) for _ in range(rows * k)])
+                b = Mat(f, k, cols, [rng.randrange(q) for _ in range(k * cols)])
+                cases.append((f, mat_mul(a, b)))
+    deficiency = set()
+    for f, m in cases:
+        basis = left_null_space(m)
+        assert _first_left_null(m) == (basis[0] if basis else None), (f.q, m.rows, m.cols, m.to_rows())
+        if m.rows == m.cols:
+            deficiency.add(len(basis))
+    assert {0, 1, 2, 3} <= deficiency
 
 
 # -- the Mat contract: one form, rows copied in and out ------------------

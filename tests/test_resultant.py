@@ -1,5 +1,5 @@
 import random
-from itertools import accumulate, permutations, repeat
+from itertools import accumulate, combinations, pairwise, permutations, repeat
 
 import pytest
 
@@ -23,6 +23,7 @@ from burstkit import (
     vandermonde,
     verify_relation,
 )
+from burstkit.matpoly import left_null_space, poly_trim
 from burstkit.resultant import order_at_least
 
 
@@ -124,6 +125,10 @@ def test_leading_constant_examples():
         leading_constant(f7, 3, (1, 0))
     with pytest.raises(ValueError, match="^alpha must have multiplicative order at least r = 4$"):
         leading_constant(f7, 6, (2, 2))  # order(6) = 2
+    # an index outside [0, q) is refused, not read modulo the log table
+    for alpha in (-1, 20):
+        with pytest.raises(ValueError, match=rf"^{alpha} is not an element of GF\(13\)$"):
+            leading_constant(field_new(13, 1), alpha, (1, 1))
 
 
 def test_leading_constant_is_the_beta_independent_factor():
@@ -577,3 +582,58 @@ def test_kernel_relation_exists_iff_the_determinant_vanishes(fields):
             replay_with_the_oracles(inst, rel)
         singular += det == 0
     assert 0 < singular < 500
+
+
+def instances_of_every_composition(fields, rng, q, max_r):
+    """Every composition of each r <= max_r into 2-4 blocks, so the widest
+    block sits in every position and ties for it, once with free betas and
+    once with beta_k = beta_i * alpha^t for a t inside the collision range."""
+    ctx = fields[q]
+    for r in range(2, max_r + 1):
+        alphas = order_at_least(ctx, r)
+        for ell in range(1, min(3, r - 1) + 1):
+            for cuts in combinations(range(1, r), ell):
+                mu = tuple(b - a for a, b in pairwise((0, *cuts, r)))
+                alpha = rng.choice(alphas)
+                beta = [rng.randrange(1, q) for _ in mu]
+                yield ResultantInstance(ctx, alpha, mu, tuple(beta))
+                i, k = rng.sample(range(ell + 1), 2)
+                beta[k] = ctx.mul(beta[i], ctx.pow(alpha, rng.randrange(1 - mu[i], mu[k])))
+                yield ResultantInstance(ctx, alpha, mu, tuple(beta))
+
+
+def reduction_corpus(fields):
+    """Seeded corpora over prime, 2^m and odd p^m fields up to GF(2^16)
+    with r up to 12, the tiny fields with alpha of order exactly r, and
+    every composition of r <= 8 into 2-4 blocks over GF(13/16/81)."""
+    rng = random.Random(29)
+    return [
+        *seeded_corpus(fields, 2929, (13, 16, 17, 81, 256, 65536), 32, 12),
+        *tiny_field_instances(fields),
+        *(inst for q in (13, 16, 81) for inst in instances_of_every_composition(fields, rng, q, 8)),
+    ]
+
+
+def test_det_stacked_matches_the_stacked_determinant(fields):
+    """The reduction modulo the widest block against the full elimination
+    of the stacked matrix, with the widest block in every position and
+    tied for in every position but the last."""
+    corpus = reduction_corpus(fields)
+    singular = 0
+    for inst in corpus:
+        det = det_stacked(inst)
+        assert det == determinant(stacked_matrix(inst)), (inst.ctx, inst)
+        singular += det == 0
+    assert 0 < singular < len(corpus)
+    widest = {(inst.mu.index(max(inst.mu)), inst.mu.count(max(inst.mu)) > 1) for inst in corpus}
+    assert widest == {(p, tie) for p in range(4) for tie in (False, True)} - {(3, True)}
+
+
+def test_kernel_relation_is_the_first_canonical_left_kernel_vector(fields):
+    """find_kernel_relation reassembles left_null_space(S)[0] of the
+    stacked matrix S, and is None exactly when that basis is empty."""
+    for inst in reduction_corpus(fields):
+        basis = left_null_space(stacked_matrix(inst))
+        rel = find_kernel_relation(inst)
+        want = None if not basis else tuple(poly_trim(basis[0][e - m : e]) for m, e in zip(inst.mu, inst.prefix_sums))
+        assert (None if rel is None else rel.polys) == want, (inst.ctx, inst)
