@@ -197,27 +197,30 @@ def mat_vec(a: Mat, v) -> list[Fe]:
 def _echelon(ctx: FieldCtx, rows: list[list[Fe]], cols: int) -> tuple[list[int], Fe]:
     """Forward elimination of rows in place: each column pivots on its
     first nonzero entry at or below the next pivot row, and the rows below
-    add multiples of the pivot row, skipping zero entries. Returns the
+    add multiples of the pivot row, skipping zero entries. One pass per
+    column picks the pivot and clears the rows after it; the rows between
+    the next pivot row and the pivot are 0 there already. Returns the
     pivot columns and the signed pivot product (0 if a column has none).
     """
-    mul, axpy = ctx.mul, ctx.axpy
+    mul, axpy, neg = ctx.mul, ctx.axpy, ctx.neg
     pivots: list[int] = []
     det = 1
     for c in range(cols):
-        pr = len(pivots)
-        sel = next((i for i in range(pr, len(rows)) if rows[i][c]), None)
+        pr, sel = len(pivots), None
+        for i in range(pr, len(rows)):
+            if rows[i][c]:
+                if sel is None:
+                    sel, prow = i, rows[i]
+                    neg_inv = neg(ctx.inv(prow[c]))
+                else:
+                    rows[i] = axpy(mul(rows[i][c], neg_inv), rows[i], prow)
         if sel is None:
             det = 0
             continue
         if sel != pr:
-            rows[pr], rows[sel] = rows[sel], rows[pr]
-            det = ctx.neg(det)
-        prow = rows[pr]
+            rows[pr], rows[sel] = prow, rows[pr]
+            det = neg(det)
         det = mul(det, prow[c])
-        neg_inv = ctx.neg(ctx.inv(prow[c]))
-        for i in range(pr + 1, len(rows)):
-            if rows[i][c]:
-                rows[i] = axpy(mul(rows[i][c], neg_inv), rows[i], prow)
         pivots.append(c)
     return pivots, det
 

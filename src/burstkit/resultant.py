@@ -23,11 +23,14 @@ beta_k alpha^s - beta_i alpha^t = beta_i alpha^t (gamma alpha^(s-t) - 1),
 gamma = beta_k / beta_i, depend on (s, t) only through the gap s - t,
 so each block pair is one log sum with a multiplicity per gap.
 
-The direct determinant takes the remainders of the other blocks' rows
-modulo the widest block's monic polynomial and eliminates only the
-tau_k x tau_k matrix they form. The kernel relation stops the
-elimination of the transposed stack at its first free column and reads
-the vector off one triangular solve.
+Neither the direct determinant nor the kernel relation eliminates the
+r x r stack. Both replace the other blocks' rows by their remainders
+modulo one block's monic polynomial M_k and eliminate only the
+tau_k x tau_k matrix those form: the determinant with k the first
+widest block, the kernel relation with k = 0. The kernel relation stops
+that elimination at its first free column, reads u_1, ..., u_ell off one
+triangular solve, and gets u_0 as the exact quotient
+-(sum_{i>=1} u_i M_i) / M_0.
 
 Everything here is certified by evaluation over the finite field; no
 symbolic computation is performed.
@@ -107,8 +110,11 @@ class ResultantInstance:
 @dataclass(frozen=True)
 class RelationWitness:
     """Polynomials u_i with deg u_i < mu_i, not all zero, satisfying
-    sum_i u_i * M_i = 0. Not checked on construction: find_kernel_relation
-    checks the relations it returns, and verify_relation replays one."""
+    sum_i u_i * M_i = 0. Not checked on construction. find_kernel_relation
+    checks each relation it returns as it builds it: u_0 is the exact
+    quotient -(sum_{i>=1} u_i * M_i) / M_0, and a remainder raises.
+    verify_relation replays one independently: the degrees, not all zero,
+    and the sum of the products u_i * M_i."""
 
     polys: tuple[Poly, ...]
 
@@ -162,15 +168,41 @@ def _blocks(inst: ResultantInstance) -> list[list[Fe]]:
     return [_run_coeffs(ctx, d, alpha, b, r - m) for b, m in zip(inst.beta, inst.mu)]
 
 
-def _stack(inst: ResultantInstance, blocks: list[list[Fe]]) -> Mat:
-    """The stacked matrix of already built blocks."""
-    rows = [row for coeffs, m in zip(blocks, inst.mu) for row in _band_rows(coeffs, m)]
+def stacked_matrix(inst: ResultantInstance) -> Mat:
+    """The r x r stack of all block band matrices."""
+    rows = [row for coeffs, m in zip(_blocks(inst), inst.mu) for row in _band_rows(coeffs, m)]
     return _wrap(inst.ctx, rows, inst.r)
 
 
-def stacked_matrix(inst: ResultantInstance) -> Mat:
-    """The r x r stack of all block band matrices."""
-    return _stack(inst, _blocks(inst))
+def _remainder_rows(ctx: FieldCtx, blocks: list[list[Fe]], mu, k: int) -> list[list[Fe]]:
+    """The rows x^h * M_i mod M_k, h < mu_i, of every block i != k in
+    stacked order, each as tau_k coefficients, with M = M_k monic of
+    degree tau_k. Every remainder is reached by steps rem -> x*rem + c
+    mod M, each one shift and, when the shifted-out coefficient is
+    nonzero, one axpy of M. If M_i has s = tau_i + 1 - tau_k > 0
+    coefficients more than M's remainders hold, it starts from its top
+    tau_k coefficients and s steps over the ones below them (Horner's
+    rule, a long division) give M_i mod M; otherwise M_i, zero-padded,
+    is already its own remainder. mu_i - 1 more steps with c = 0 give
+    the next rows.
+    """
+    axpy, neg = ctx.axpy, ctx.neg
+    monic = blocks[k]
+    tk, low = len(monic) - 1, monic[:-1]
+    rows = []
+    for i, (coeffs, m) in enumerate(zip(blocks, mu)):
+        if i == k:
+            continue
+        s = max(len(coeffs) - tk, 0)  # M_i = x^s * (its top coefficients) + (the s below)
+        rem = coeffs[s:] + [0] * (tk + s - len(coeffs))
+        states = [rem]
+        for c in [*reversed(coeffs[:s]), *[0] * (m - 1)]:
+            top, rem = rem[-1], [c, *rem[:-1]]
+            if top:
+                rem = axpy(neg(top), rem, low)
+            states.append(rem)
+        rows += states[s:]
+    return rows
 
 
 def det_stacked(inst: ResultantInstance) -> Fe:
@@ -190,34 +222,14 @@ def det_stacked(inst: ResultantInstance) -> Fe:
     - Row h of block k has A = x^h and B = 0. Moving those mu_k rows of C
       to the top passes R_k rows and leaves [[I, 0], [*, T]], with T the
       tau_k x tau_k matrix of the other rows' remainders in stacked
-      order, so det C = (-1)^(mu_k R_k) det T.
-    Hence det S = (-1)^(mu_k (R_k + tau_k)) det T. Every remainder is
-    reached by steps rem -> x*rem + c mod M, each one shift and, when
-    the shifted-out coefficient is nonzero, one axpy of M: from M_i's
-    top tau_k coefficients, the s = tau_i + 1 - tau_k coefficients below
-    them (Horner's rule, a long division) give M_i mod M, and mu_i - 1
-    more steps with c = 0 give the next rows, mu_k steps per block.
+      order (_remainder_rows), so det C = (-1)^(mu_k R_k) det T.
+    Hence det S = (-1)^(mu_k (R_k + tau_k)) det T.
     """
     ctx, mu = inst.ctx, inst.mu
-    axpy, neg = ctx.axpy, ctx.neg
-    blocks = _blocks(inst)
     k = mu.index(max(mu))
-    monic = blocks[k]
-    tk, low = len(monic) - 1, monic[:-1]
-    rows = []
-    for i, (coeffs, m) in enumerate(zip(blocks, mu)):
-        if i == k:
-            continue
-        s = len(coeffs) - tk  # M_i = x^s * (its top tk coefficients) + (the s below)
-        rem, states = coeffs[s:], []
-        for c in coeffs[s - 1 :: -1] + [0] * (m - 1):
-            top, rem = rem[-1], [c, *rem[:-1]]
-            if top:
-                rem = axpy(neg(top), rem, low)
-            states.append(rem)
-        rows += states[s - 1 :]
-    det = _echelon(ctx, rows, tk)[1]
-    return neg(det) if mu[k] * (sum(mu[:k]) + tk) % 2 else det
+    tk = inst.taus[k]
+    det = _echelon(ctx, _remainder_rows(ctx, _blocks(inst), mu, k), tk)[1]
+    return ctx.neg(det) if mu[k] * (sum(mu[:k]) + tk) % 2 else det
 
 
 def leading_constant(ctx: FieldCtx, alpha: Fe, mu) -> Fe:
@@ -301,35 +313,58 @@ def find_ratio_collision(inst: ResultantInstance) -> tuple[int, int, int] | None
 def find_kernel_relation(inst: ResultantInstance) -> RelationWitness | None:
     """The first canonical left-kernel basis vector of the stacked matrix,
     left_null_space(stacked_matrix(inst))[0], reassembled into the block
-    polynomials u_i; None iff the matrix is nonsingular. The elimination
-    stops at the first row of the matrix that depends on the rows above
-    it, and a triangular solve gives the vector. The relation is replayed
-    by polynomial products on the same blocks that built the matrix."""
+    polynomials u_i; None iff the matrix is nonsingular. It is found on
+    the tau_0 x tau_0 matrix of remainders modulo M_0, not on the r x r
+    stack S:
+    - Every row P of S is A*M_0 + B with deg A < mu_0 and deg B < tau_0,
+      so S = C*Q with Q (rows x^h M_0, h < mu_0, then x^j, j < tau_0)
+      invertible, as M_0 is monic; vS = 0 iff vC = 0.
+    - Block 0's rows of C are the unit rows (x^h, 0) and come first, so
+      the first row of C that depends on the rows above it lies outside
+      block 0, and it depends on them iff its remainder B depends on the
+      remainders above it.
+    - So the canonical vector restricted to blocks 1..ell is
+      _first_left_null of T, the rows x^h * M_i mod M_0 (i >= 1) in
+      stacked order (_remainder_rows with k = 0); T is square, as
+      r - mu_0 = tau_0.
+    - u_0 is then forced: u_0 = -(sum_{i>=1} u_i * M_i) / M_0, and deg
+      u_0 < mu_0 holds, as the sum has degree < r. The sum and its long
+      division are axpys on one list of r coefficients. The division
+      must be exact; that is the self-check, and a remainder raises
+      AssertionError.
+    """
+    ctx, mu, t0 = inst.ctx, inst.mu, inst.taus[0]
+    axpy, neg = ctx.axpy, ctx.neg
     blocks = _blocks(inst)
-    u = _first_left_null(_stack(inst, blocks))
-    if u is None:
+    tail = _first_left_null(_wrap(ctx, _remainder_rows(ctx, blocks, mu, 0), t0))
+    if tail is None:
         return None
-    witness = RelationWitness(tuple(poly_trim(u[e - m : e]) for m, e in zip(inst.mu, inst.prefix_sums)))
-    if not _replays(inst, witness, blocks):
-        raise AssertionError("left-kernel vector is not a nonzero relation")
-    return witness
+    us = [poly_trim(tail[e - m : e]) for m, e in zip(mu[1:], accumulate(mu[1:]))]
+    rest = [0] * inst.r  # sum_{i>=1} u_i * M_i, then its remainder modulo M_0
+    for u_i, coeffs in zip(us, blocks[1:]):
+        for h, c in enumerate(u_i):
+            if c:
+                rest[h : h + len(coeffs)] = axpy(c, rest[h : h + len(coeffs)], coeffs)
+    u0 = [0] * mu[0]
+    for h in reversed(range(mu[0])):  # long division by the monic M_0, u_0 = -quotient
+        if rest[h + t0]:
+            u0[h] = f = neg(rest[h + t0])
+            rest[h : h + t0 + 1] = axpy(f, rest[h : h + t0 + 1], blocks[0])
+    if any(rest):
+        raise AssertionError("left-kernel vector is not a relation: M_0 does not divide the rest")
+    return RelationWitness((poly_trim(u0), *us))
 
 
 def verify_relation(inst: ResultantInstance, witness: RelationWitness) -> bool:
     """Independent replay: degree constraints, not all zero, and
     sum_i u_i * M_i = 0 by polynomial products, not the stacked matrix."""
-    return _replays(inst, witness, _blocks(inst))
-
-
-def _replays(inst: ResultantInstance, witness: RelationWitness, blocks: list[list[Fe]]) -> bool:
-    """verify_relation's test, with M_i given as blocks[i]."""
     ctx = inst.ctx
     if len(witness.polys) != inst.ell + 1:
         return False
     if all(p == () for p in witness.polys):
         return False
     total: Poly = ()
-    for u_i, m_i, coeffs in zip(witness.polys, inst.mu, blocks):
+    for u_i, m_i, coeffs in zip(witness.polys, inst.mu, _blocks(inst)):
         if len(u_i) > m_i:
             return False
         total = poly_add(ctx, total, poly_mul(ctx, u_i, coeffs))

@@ -637,3 +637,58 @@ def test_kernel_relation_is_the_first_canonical_left_kernel_vector(fields):
         rel = find_kernel_relation(inst)
         want = None if not basis else tuple(poly_trim(basis[0][e - m : e]) for m, e in zip(inst.mu, inst.prefix_sums))
         assert (None if rel is None else rel.polys) == want, (inst.ctx, inst)
+
+
+def pinned_pairs(ctx, rng, alpha, mu):
+    """The instance (alpha, mu) with free betas, then once per block pair
+    i < k with beta_k = beta_i * alpha^t for a t inside the collision range."""
+    beta = tuple(rng.randrange(1, ctx.q) for _ in mu)
+    yield ResultantInstance(ctx, alpha, mu, beta)
+    for i, k in combinations(range(len(mu)), 2):
+        pinned = list(beta)
+        pinned[k] = ctx.mul(beta[i], ctx.pow(alpha, rng.randrange(1 - mu[i], mu[k])))
+        yield ResultantInstance(ctx, alpha, mu, tuple(pinned))
+
+
+def kernel_corpus(fields):
+    """Every composition of r into 2-4 blocks, each through pinned_pairs:
+    over GF(4/5/7/8/9) for every alpha whose order is exactly r, and over
+    GF(13/16/81) for every r <= 7 with a sampled alpha of order >= r."""
+    rng = random.Random(30)
+    runs = [(fields[q], a, fields[q].order(a)) for q in (4, 5, 7, 8, 9) for a in fields[q].nonzero_elements()]
+    runs += [(fields[q], rng.choice(order_at_least(fields[q], r)), r) for q in (13, 16, 81) for r in range(2, 8)]
+    for ctx, alpha, r in runs:
+        for ell in range(1, min(3, r - 1) + 1):
+            for cuts in combinations(range(1, r), ell):
+                yield from pinned_pairs(ctx, rng, alpha, tuple(b - a for a, b in pairwise((0, *cuts, r))))
+
+
+def test_kernel_relation_from_the_first_block_remainders_matches_the_stack(fields, monkeypatch):
+    """find_kernel_relation, solved on the tau_0 x tau_0 remainders modulo
+    M_0, against left_null_space(S)[0] of the full stack S: with M_0 the
+    longest block, where every other block is a zero-padded remainder of
+    itself, with mu_0 = 1 and with mu_0 the largest, for ell = 1..3, and
+    with relations in which u_0 is zero and in which it is not. The exact
+    division that gives u_0 is the self-check: on a nonsingular instance
+    every nonzero vector is off the left kernel of the remainders, so a
+    unit vector in place of the solved one must raise."""
+    seen, nonsingular = set(), []
+    for inst in kernel_corpus(fields):
+        basis = left_null_space(stacked_matrix(inst))
+        rel = find_kernel_relation(inst)
+        want = None if not basis else tuple(poly_trim(basis[0][e - m : e]) for m, e in zip(inst.mu, inst.prefix_sums))
+        assert (None if rel is None else rel.polys) == want, (inst.ctx, inst)
+        m0, rest = inst.mu[0], inst.mu[1:]
+        shapes = {"mu_0 < all": m0 < min(rest), "mu_0 = 1": m0 == 1, "mu_0 >= all": m0 >= max(rest)}
+        found = "none" if rel is None else "u_0 = ()" if rel.polys[0] == () else "u_0 != ()"
+        seen |= {(shape, found) for shape, holds in shapes.items() if holds}
+        seen |= {(inst.ell, found), (inst.ctx.q, found)}
+        if rel is None:
+            nonsingular.append(inst)
+    assert seen >= {(key, found) for key in ("mu_0 < all", "mu_0 = 1", "mu_0 >= all", 2, 3, 4, 5, 7, 8, 9, 13, 16, 81)
+                    for found in ("none", "u_0 = ()", "u_0 != ()")} | {(1, "none"), (1, "u_0 != ()")}
+    monkeypatch.setattr("burstkit.resultant._first_left_null", lambda m: [1] + [0] * (m.rows - 1))
+    for inst in nonsingular:
+        with pytest.raises(AssertionError):
+            find_kernel_relation(inst)
+    assert len(nonsingular) > 150
